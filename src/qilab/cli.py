@@ -172,10 +172,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         parties = [(0,), (1,), (2,)]
     else:
         raise FormatError("give --parties for states that are not 2- or 3-partite")
-    try:
-        return entropy_mod.information_measures(rho, parties), EXIT_OK
-    except (ValueError, IndexError) as exc:
-        raise FormatError(str(exc)) from exc
+    return entropy_mod.information_measures(rho, parties), EXIT_OK
 
 
 def _cmd_definetti(args) -> tuple[dict, int]:
@@ -228,10 +225,7 @@ def _cmd_motzkin(args) -> tuple[dict, int]:
             edges.append((int(i), int(j)))
     except ValueError as exc:
         raise FormatError(f"bad edge list: {exc}") from exc
-    try:
-        rep = sep_mod.motzkin_straus(args.n, edges, seed=args.seed)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    rep = sep_mod.motzkin_straus(args.n, edges, seed=args.seed)
     return {
         "clique_number": rep.clique_number,
         "optimization_value": rep.optimization_value,
@@ -340,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         results, code = args.handler(args)
-    except FormatError as exc:
+    except (ValueError, IndexError) as exc:  # FormatError is a ValueError
         sys.stderr.write(f"qi-cli: input error: {exc}\n")
         return EXIT_INPUT
     report = {

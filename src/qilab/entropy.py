@@ -293,6 +293,8 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
     d = len(p)
     if d > 4:
         raise ValueError("compression simulation supports small alphabets (d <= 4)")
+    if n < 1:
+        raise ValueError("block length n must be at least 1")
     if rate < 0:
         raise ValueError("rate must be nonnegative")
     types = [t for t in _iter_types(n, d)

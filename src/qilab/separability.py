@@ -15,7 +15,6 @@ from .tensor import (
     hermitian_eig,
     partial_trace,
     partial_transpose,
-    permutation_operator,
     tensor,
     trace_norm,
 )
@@ -90,13 +89,34 @@ class FeasibilityReport:
     extension: np.ndarray | None
 
 
-def _b_permutations(d_a: int, d_b: int, k: int) -> list[np.ndarray]:
-    """Operators permuting the k B factors (identity on A)."""
-    ops = []
-    for perm in itertools.permutations(range(k)):
-        p = permutation_operator(d_b, list(perm), size_cap=2**20)
-        ops.append(tensor(np.eye(d_a), p))
-    return ops
+def _symmetrize_b(x: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
+    """Average of P x P^dag over every permutation P of the k B factors.
+
+    S_j is built from S_{j-1} and its coset representatives e, (i j) for
+    i < j, so the S_k average is k(k-1)/2 axis transposes of the
+    (d_A, d_B, ..., d_B) x 2 tensor, applied to row and column axes alike.
+    """
+    n = k + 1
+    t = x.reshape(((d_a,) + (d_b,) * k) * 2)
+    for j in range(2, n):
+        acc = t.copy()
+        for i in range(1, j):
+            axes = list(range(2 * n))
+            axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
+            acc += t.transpose(axes)
+        acc /= j
+        t = acc
+    return t.reshape(x.shape)
+
+
+def _marginal_inverse(m: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
+    """Inverse of L(D) = tr_{B2..Bk} sym(D x I/d_B^{k-1}) on A B_1 operators.
+
+    L(D) = D/k + ((k-1)/k) tr_B(D) x I/d_B, and L preserves tr_B, hence
+    L^{-1}(M) = k M - (k-1) tr_B(M) x I/d_B.
+    """
+    tr_b = partial_trace(m, (d_a, d_b), [0])
+    return k * m - (k - 1) * tensor(tr_b, np.eye(d_b) / d_b)
 
 
 def k_extendibility(rho: DensityMatrix, k: int,
@@ -111,7 +131,8 @@ def k_extendibility(rho: DensityMatrix, k: int,
     clipping, with correction term) and the affine set of operators that
     are invariant under permuting the B factors and whose A B_1 marginal
     equals rho.  The affine projection is exact: group-average first, then
-    solve for the marginal correction inside the invariant subspace.
+    add the symmetrized marginal correction L^{-1}(rho - marginal), with L
+    inverted in closed form.
 
     A residual below ``eps_feasible`` yields Feasible with the extension
     attached; a residual plateau above ``eps_gap`` is reported as
@@ -126,54 +147,21 @@ def k_extendibility(rho: DensityMatrix, k: int,
     dim = d_a * d_b**k
     if dim > 4096:
         raise ValueError(f"extension dimension {dim} exceeds cap")
-    perms = _b_permutations(d_a, d_b, k)
     dims_ext = (d_a,) + (d_b,) * k
-    d_ab = d_a * d_b
     eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
 
-    def perm_avg(x: np.ndarray) -> np.ndarray:
-        return sum(p @ x @ p.conj().T for p in perms) / len(perms)
-
-    # Linear map L(Delta) = tr_{B2..Bk} perm_avg(Delta x I/d^{k-1}); the
-    # exact projection onto {perm-invariant, marginal = rho} corrects the
-    # group-averaged iterate by perm_avg(L^{-1}(rho - marginal) x I/d^{k-1}).
-    basis_images = np.empty((d_ab * d_ab, d_ab * d_ab), dtype=complex)
-    for i in range(d_ab):
-        for j in range(d_ab):
-            e = np.zeros((d_ab, d_ab), dtype=complex)
-            e[i, j] = 1.0
-            img = partial_trace(perm_avg(tensor(e, eye_rest)), dims_ext, [0, 1])
-            basis_images[:, i * d_ab + j] = img.reshape(-1)
-    l_inv = np.linalg.pinv(basis_images)
-
-    def _affine_slow(x: np.ndarray) -> np.ndarray:
-        y = perm_avg(x)
+    def project_affine(x: np.ndarray) -> np.ndarray:
+        y = _symmetrize_b(x, d_a, d_b, k)
         need = rho.mat - partial_trace(y, dims_ext, [0, 1])
-        delta = (l_inv @ need.reshape(-1)).reshape(d_ab, d_ab)
-        return y + perm_avg(tensor(delta, eye_rest))
-
-    if dim <= 32:
-        # the projection is affine: flatten it into one matrix-vector product
-        offset = _affine_slow(np.zeros((dim, dim), dtype=complex))
-        proj_mat = np.empty((dim * dim, dim * dim), dtype=complex)
-        probe = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim * dim):
-            probe.reshape(-1)[col] = 1.0
-            proj_mat[:, col] = (_affine_slow(probe) - offset).reshape(-1)
-            probe.reshape(-1)[col] = 0.0
-        offset_vec = offset.reshape(-1)
-
-        def project_affine(x: np.ndarray) -> np.ndarray:
-            return (proj_mat @ x.reshape(-1) + offset_vec).reshape(dim, dim)
-    else:
-        project_affine = _affine_slow
+        delta = _marginal_inverse(need, d_a, d_b, k)
+        return y + _symmetrize_b(tensor(delta, eye_rest), d_a, d_b, k)
 
     def project_psd(x: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
         vals = np.clip(vals, 0.0, None)
         return (vecs * vals) @ vecs.conj().T
 
-    x = project_affine(tensor(rho.mat, np.eye(d_b ** (k - 1)) / d_b ** (k - 1)))
+    x = project_affine(tensor(rho.mat, eye_rest))
     p_corr = np.zeros_like(x)
     history: list[float] = []
     residual = math.inf
@@ -408,7 +396,3 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]],
         best = max(best, val)
     return MotzkinStrausReport(w, best)
 
-
-def sep_distance_witnessed(rho: DensityMatrix, w: np.ndarray) -> float:
-    """|tr W rho| when negative: how strongly the witness flags the state."""
-    return witness_value(w, rho)

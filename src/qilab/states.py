@@ -52,7 +52,7 @@ class PureState:
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "dims", _normalize_dims(amps.size, self.dims))
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"state vector norm {nrm} is not 1 within 1e-10")
 
     @property
@@ -322,7 +322,7 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
 
 def bloch_state(r: Sequence[float]) -> DensityMatrix:
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or np.linalg.norm(r) > 1 + 1e-10:
+    if r.shape != (3,) or not np.linalg.norm(r) <= 1 + 1e-10:
         raise ValueError("Bloch vector must be length-3 with norm <= 1")
     m = (I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
     return DensityMatrix(m)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +141,11 @@ def test_cli_input_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["witness", "--state", str(missing)]) == 1
     assert main(["frobnicate"]) == 1  # unknown subcommand
+    # library errors: subsystem index out of range, empty block
+    path = write_density(tmp_path, q.phi_plus().density())
+    assert main(["ppt", "--state", path, "--cut", "3"]) == 1
+    assert main(["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_text_format(tmp_path, capsys):
@@ -145,3 +154,21 @@ def test_cli_text_format(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "results.is_ppt" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ppt", "--state", "{phi}", "--cut", "3"],  # IndexError inside the library
+    ["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5", "--trials", "5"],
+])
+def test_cli_library_errors_exit_1_without_traceback(tmp_path, argv):
+    phi = write_density(tmp_path, q.phi_plus().density())
+    src = str(pathlib.Path(q.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "qilab.cli", *(a.format(phi=phi) for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qi-cli: input error: ")
+    assert "Traceback" not in proc.stderr

@@ -145,6 +145,12 @@ def test_compression_full_rate_always_succeeds():
     assert rep.success_rate == 1.0
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_compression_rejects_empty_block(n):
+    with pytest.raises(ValueError):
+        q.compression_trial([0.9, 0.1], n, 0.5, trials=5)
+
+
 def test_compression_phase_transition_small():
     h = q.binary_entropy(0.11)  # ~0.4999
     hi = q.compression_trial([0.11, 0.89], 400, 0.65, trials=100, seed=5)

@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qilab as q
-from qilab.separability import FeasStatus
+from qilab.separability import FeasStatus, _marginal_inverse, _symmetrize_b
 from qilab.tensor import partial_trace, permutation_operator, tensor, trace_distance
 
 RNG = np.random.default_rng(31)
@@ -70,23 +71,79 @@ def test_k_extendibility_phi_plus_matches_sdp_oracle():
     assert oracle["max_min_eigenvalue"] < -1e-3  # independent infeasibility proof
 
 
+def assert_valid_extension(ext, rho, k, tol=1e-6):
+    """PSD, unit trace, every A B_j marginal equal to rho, B-swap invariant."""
+    d_a, d_b = rho.dims
+    dims = (d_a,) + (d_b,) * k
+    assert np.min(np.linalg.eigvalsh((ext + ext.conj().T) / 2)) >= -tol
+    assert abs(np.trace(ext) - 1) < tol
+    for j in range(1, k + 1):
+        marg = partial_trace(ext, dims, [0, j])
+        assert np.max(np.abs(marg - rho.mat)) < tol
+    for perm in itertools.permutations(range(k)):
+        p = tensor(np.eye(d_a), permutation_operator(d_b, perm))
+        assert np.max(np.abs(p @ ext @ p.conj().T - ext)) < tol
+
+
+def random_operator(dim):
+    return RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 3, 2), (3, 2, 4)])
+def test_symmetrize_b_is_the_average_over_all_b_permutations(d_a, d_b, k):
+    x = random_operator(d_a * d_b**k)
+    perms = [tensor(np.eye(d_a), permutation_operator(d_b, perm))
+             for perm in itertools.permutations(range(k))]
+    expected = sum(p @ x @ p.conj().T for p in perms) / len(perms)
+    assert np.max(np.abs(_symmetrize_b(x, d_a, d_b, k) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 3, 2), (3, 2, 4)])
+def test_marginal_inverse_matches_pinv_of_probed_map(d_a, d_b, k):
+    # probe L(D) = tr_{B2..Bk} sym(D x I/d^{k-1}) on the A B_1 basis
+    d_ab = d_a * d_b
+    dims = (d_a,) + (d_b,) * k
+    eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
+    images = np.empty((d_ab * d_ab, d_ab * d_ab), dtype=complex)
+    for col in range(d_ab * d_ab):
+        e = np.zeros(d_ab * d_ab, dtype=complex)
+        e[col] = 1.0
+        big = _symmetrize_b(tensor(e.reshape(d_ab, d_ab), eye_rest), d_a, d_b, k)
+        images[:, col] = partial_trace(big, dims, [0, 1]).reshape(-1)
+    l_inv = np.linalg.pinv(images)
+    for _ in range(3):
+        m = random_operator(d_ab)
+        expected = (l_inv @ m.reshape(-1)).reshape(d_ab, d_ab)
+        assert np.max(np.abs(_marginal_inverse(m, d_a, d_b, k) - expected)) <= 1e-12
+
+
 def test_k_extendibility_feasible_returns_valid_extension():
     s = q.random_separable_state(2, 2, RNG)
     rho = q.DensityMatrix(0.85 * s.mat + 0.15 * np.eye(4) / 4, (2, 2))
     rep = q.k_extendibility(rho, 3)
     assert rep.status is FeasStatus.FEASIBLE
-    ext = rep.extension
-    dims = (2, 2, 2, 2)
-    assert np.min(np.linalg.eigvalsh((ext + ext.conj().T) / 2)) >= -1e-6
-    assert abs(np.trace(ext) - 1) < 1e-6
-    # every A B_j marginal reproduces rho
-    for j in (1, 2, 3):
-        marg = partial_trace(ext, dims, [0, j])
-        assert np.max(np.abs(marg - rho.mat)) < 1e-6
-    # invariance under permuting the B factors
-    for perm in itertools.permutations(range(3)):
-        p = tensor(np.eye(2), permutation_operator(2, perm))
-        assert np.max(np.abs(p @ ext @ p.conj().T - ext)) < 1e-6
+    assert_valid_extension(rep.extension, rho, 3)
+
+
+def test_k_extendibility_valid_extension_qutrit_b():
+    s = q.random_separable_state(2, 3, RNG)
+    rho = q.DensityMatrix(0.7 * s.mat + 0.3 * np.eye(6) / 6, (2, 3))
+    rep = q.k_extendibility(rho, 3)
+    assert rep.status is FeasStatus.FEASIBLE
+    assert_valid_extension(rep.extension, rho, 3)
+
+
+def test_k_extendibility_large_k_stays_small():
+    # 7! dense 256 x 256 permutation operators would need about 5 GB
+    tracemalloc.start()
+    try:
+        rep = q.k_extendibility(q.noisy_epr(0.5), 7, max_iterations=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 2
+    assert rep.status is FeasStatus.UNDETERMINED
+    assert peak < 64 * 2**20
 
 
 def test_k_extendibility_input_validation():

@@ -24,6 +24,11 @@ def test_density_matrix_validation():
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         q.PureState(np.array([1.0, 1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            q.PureState(np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            q.PureState(np.array([complex(0.0, bad), 0.0]))
     psi = q.PureState(np.array([1.0, 0.0]))
     assert psi.dims == (2,)
 
@@ -91,8 +96,9 @@ def test_bloch_roundtrip_and_purity():
         assert np.allclose(q.bloch_vector(rho), v, atol=1e-12)
     psi = q.random_pure_state(2, RNG)
     assert abs(np.linalg.norm(q.bloch_vector(psi.density())) - 1) < 1e-10
-    with pytest.raises(ValueError):
-        q.bloch_state([1.0, 1.0, 1.0])
+    for bad in ([1.0, 1.0, 1.0], [0.0, math.nan, 0.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            q.bloch_state(bad)
 
 
 def test_state_zoo():
