@@ -4,7 +4,6 @@ All logarithms are base 2.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -12,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import hermitian_eig
+from .tensor import DEFAULT_SIZE_CAP, basis_digits, hermitian_eig
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -244,25 +243,29 @@ def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
 def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.ndarray:
     """Projector onto eigenstrings of rho^(x n) with typical log-eigenvalue.
 
-    Rank is bounded by 2^{n (S + delta)}.  Only feasible for d^n within the
-    enumeration cap.
+    Rank is bounded by 2^{n (S + delta)}.  The typical strings are picked
+    from the digit array of all d^n basis indices at once, and the
+    projector is W W^dagger with W the typical columns of U^(x n), where U
+    is the eigenbasis of rho.  Only feasible for d^n within the operator
+    size cap.
     """
+    if n < 1:
+        raise ValueError("block length n must be at least 1")
     d = rho.dim
-    if d**n > ENUMERATION_CAP // 4:
-        raise ValueError("typical subspace too large to materialize")
+    dim = d**n
+    if dim > DEFAULT_SIZE_CAP:
+        raise ValueError(f"operator size {dim} exceeds cap {DEFAULT_SIZE_CAP}")
     eig = hermitian_eig(rho.mat)
     vals = np.clip(eig.eigenvalues, 0.0, None)
     s = float(-np.sum(vals[vals > 1e-15] * np.log2(vals[vals > 1e-15])))
     logs = np.array([-math.log2(v) if v > 1e-15 else math.inf for v in vals])
-    proj = np.zeros((d**n, d**n), dtype=complex)
-    for xs in itertools.product(range(d), repeat=n):
-        ll = sum(logs[x] for x in xs)
-        if abs(ll / n - s) <= delta:
-            vec = eig.eigenvectors[:, xs[0]]
-            for x in xs[1:]:
-                vec = np.kron(vec, eig.eigenvectors[:, x])
-            proj += np.outer(vec, vec.conj())
-    return proj
+    digits = basis_digits(d, n)
+    # summed position by position: each string's terms add up in string order
+    typical = np.abs(sum(logs[x] for x in digits) / n - s) <= delta
+    w = np.ones((1, int(typical.sum())), dtype=complex)
+    for x in digits[:, typical]:
+        w = (w[:, None, :] * eig.eigenvectors[:, x]).reshape(w.shape[0] * d, -1)
+    return w @ w.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import binary_relative_entropy
-from .states import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, PureState
-from .tensor import hermitian_eig, permutation_operator, tensor
+from .states import DensityMatrix, PureState
+from .tensor import basis_digits, hermitian_eig
 
 SIZE_CAP = 4096
 
@@ -27,60 +27,24 @@ def symmetric_projector(d: int, n: int, size_cap: int = SIZE_CAP) -> np.ndarray:
 
     For each occupation type t the vector is the uniform superposition of
     the C(n; t) computational strings with that type; these are orthonormal
-    and span the symmetric subspace.
+    and span the symmetric subspace.  The basis indices are grouped by type
+    from their digits, and each type's constant 1/C(n; t) block is written
+    in place, so the work is the sum of the squared class sizes.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     dim = d**n
     if dim > size_cap:
         raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for xs in itertools.product(range(d), repeat=n):
-        t = tuple(xs.count(a) for a in range(d))
-        idx = 0
-        for x in xs:
-            idx = idx * d + x
-        buckets.setdefault(t, []).append(idx)
+    # a string's sorted digits name its type
+    types, type_of = np.unique(np.sort(basis_digits(d, n), axis=0), axis=1,
+                               return_inverse=True)
+    type_of = type_of.reshape(-1)
     proj = np.zeros((dim, dim), dtype=complex)
-    for idxs in buckets.values():
-        v = np.zeros(dim, dtype=complex)
-        v[idxs] = 1.0 / math.sqrt(len(idxs))
-        proj += np.outer(v, v)
+    for t in range(types.shape[1]):
+        idx = np.flatnonzero(type_of == t)
+        proj[np.ix_(idx, idx)] = 1.0 / idx.size
     return proj
-
-
-def symmetric_projector_from_permutations(d: int, n: int,
-                                          size_cap: int = SIZE_CAP) -> np.ndarray:
-    """(1/n!) sum_pi P_pi; cross-check route, feasible for small n."""
-    dim = d**n
-    if dim > size_cap:
-        raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
-    acc = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        acc += permutation_operator(d, list(perm), size_cap=size_cap)
-        count += 1
-    return acc / count
-
-
-def haar_moment_deviation(d: int, n: int, samples: int, seed: int = 0) -> dict[str, float]:
-    """Monte Carlo check of E[phi^(x n)] = Pi_sym / dim Sym^n.
-
-    Returns the operator-norm deviation of the sample mean together with a
-    crude scale for the expected statistical fluctuation.
-    """
-    rng = np.random.default_rng(seed)
-    dim = d**n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for _ in range(samples):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        w = v
-        for _ in range(n - 1):
-            w = np.kron(w, v)
-        acc += np.outer(w, w.conj())
-    mean = acc / samples
-    target = symmetric_projector(d, n) / symmetric_dimension(d, n)
-    dev = float(np.linalg.norm(mean - target, ord=2))
-    return {"deviation": dev, "fluctuation_scale": 1.0 / math.sqrt(samples)}
 
 
 def estimation_overlap_exact(d: int, n: int, k: int) -> Fraction:
@@ -110,13 +74,13 @@ def symmetric_purification(rho: DensityMatrix, tol: float = 1e-8) -> PureState:
     if len(set(dims)) != 1 or len(dims) < 2:
         raise ValueError("state must live on n >= 2 equal subsystems")
     d, n = dims[0], len(dims)
-    dim = rho.dim
-    # invariance check on adjacent transpositions (they generate S_n)
+    if rho.dim > SIZE_CAP:
+        raise ValueError(f"operator size {rho.dim} exceeds cap {SIZE_CAP}")
+    # invariance check on adjacent transpositions (they generate S_n),
+    # applied to the row and column axes of the tensor together
+    t = rho.mat.reshape((d,) * (2 * n))
     for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        p = permutation_operator(d, perm, size_cap=SIZE_CAP)
-        if np.max(np.abs(p @ rho.mat @ p.conj().T - rho.mat)) > tol:
+        if np.max(np.abs(t.swapaxes(i, i + 1).swapaxes(n + i, n + i + 1) - t)) > tol:
             raise ValueError("state is not permutation invariant")
     eig = hermitian_eig(rho.mat)
     vals = np.clip(eig.eigenvalues, 0.0, None)
@@ -175,30 +139,41 @@ class SpinBlock:
 def spin_projectors(n: int, tol: float = 1e-7, size_cap: int = SIZE_CAP) -> list[SpinBlock]:
     """Total-spin projectors on n qubits from the spectrum of J^2.
 
-    Eigenvalues are clustered to j(j+1) within ``tol``; each block has
+    J^2 = n(4 - n)/4 I + sum_{i<k} SWAP_ik is real and conserves the Hamming
+    weight, so it is diagonalized one weight sector (of size C(n, w)) at a
+    time.  Eigenvalues are clustered to j(j+1) within ``tol``; each block has
     dimension (2j + 1) m_j.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     dim = 2**n
     if dim > size_cap:
         raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
-    js = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    for i in range(n):
-        for a, s in enumerate(paulis):
-            ops = [np.eye(2, dtype=complex)] * n
-            ops[i] = s / 2
-            js[a] += tensor(*ops)
-    j2 = sum(j @ j for j in js)
-    vals, vecs = np.linalg.eigh(j2)
-    blocks = []
-    for j in _j_values(n):
-        target = j * (j + 1)
-        sel = np.abs(vals - target) < tol
-        if not np.any(sel):
-            continue
-        v = vecs[:, sel]
-        blocks.append(SpinBlock(j, spin_multiplicity(n, j), v @ v.conj().T))
-    return blocks
+    digits = basis_digits(2, n)
+    weight = digits.sum(axis=0)
+    place = 2 ** np.arange(n - 1, -1, -1)
+    # swaps[p, x]: the index of basis string x with the digits of pair p exchanged
+    swaps = np.array([np.arange(dim) + (digits[k] - digits[i]) * (place[i] - place[k])
+                      for i, k in itertools.combinations(range(n), 2)],
+                     dtype=np.intp).reshape(-1, dim)
+    projs: dict[float, np.ndarray] = {}
+    for w in range(n + 1):
+        idx = np.flatnonzero(weight == w)
+        size = idx.size
+        # swaps stay inside the sector, so each image has a sector position
+        j2 = np.zeros((size, size))
+        np.add.at(j2, (np.searchsorted(idx, swaps[:, idx]), np.arange(size)), 1.0)
+        vals, vecs = np.linalg.eigh(j2)
+        vals += n * (4 - n) / 4
+        for j in _j_values(n):
+            sel = np.abs(vals - j * (j + 1)) < tol
+            if np.any(sel):
+                v = vecs[:, sel]
+                if j not in projs:
+                    projs[j] = np.zeros((dim, dim), dtype=complex)
+                projs[j][np.ix_(idx, idx)] = v @ v.T
+    return [SpinBlock(j, spin_multiplicity(n, j), projs[j])
+            for j in _j_values(n) if j in projs]
 
 
 def spectrum_estimation_distribution(r: float, n: int) -> dict[float, float]:

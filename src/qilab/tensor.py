@@ -159,6 +159,15 @@ def permutation_operator(d: int, perm: Sequence[int], size_cap: int = DEFAULT_SI
     return t.transpose(axes).reshape(dim, dim).astype(complex)
 
 
+def basis_digits(d: int, n: int) -> np.ndarray:
+    """Digits of every basis index of (C^d)^{x n}, shape (n, d^n).
+
+    Column k holds the big-endian base-d digits of index k, so row 0 is the
+    leftmost subsystem.
+    """
+    return np.indices((d,) * n).reshape(n, d**n)
+
+
 def swap_operator(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Flip operator F on C^d x C^d: F|a,b> = |b,a>."""
     return permutation_operator(d, [1, 0], size_cap=size_cap)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,58 @@ def test_typical_subspace_projector():
     assert np.max(np.abs(proj @ big - big @ proj)) < 1e-10
     classical = q.typical_set([0.7, 0.3], n, delta)
     assert np.trace(proj @ big).real == pytest.approx(classical.mass, abs=1e-10)
+
+
+def typical_projector_from_strings(rho, n, delta):
+    """Sum of |u_xs><u_xs| over eigenstrings with typical log-eigenvalue."""
+    vals, vecs = np.linalg.eigh(rho.mat)
+    vals = np.clip(vals, 0.0, None)
+    s = q.von_neumann_entropy(rho)
+    d = rho.dim
+    proj = np.zeros((d**n, d**n), dtype=complex)
+    for xs in itertools.product(range(d), repeat=n):
+        if any(vals[x] <= 1e-15 for x in xs):
+            continue
+        ll = sum(-math.log2(vals[x]) for x in xs)
+        if abs(ll / n - s) <= delta:
+            vec = vecs[:, xs[0]]
+            for x in xs[1:]:
+                vec = np.kron(vec, vecs[:, x])
+            proj += np.outer(vec, vec.conj())
+    return proj
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
+@pytest.mark.parametrize("kind", ["full_rank", "rank_deficient", "maximally_mixed"])
+def test_typical_subspace_projector_matches_string_sum(d, n, kind):
+    if kind == "maximally_mixed":
+        rho = q.maximally_mixed(d)
+    else:
+        spectrum = RNG.dirichlet(np.ones(d))
+        if kind == "rank_deficient":
+            spectrum[0] = 0.0
+            spectrum /= spectrum.sum()
+        u = q.random_unitary(d, RNG)
+        rho = q.DensityMatrix((u * spectrum) @ u.conj().T)
+    for delta in (0.1, 0.3, 1.0):
+        proj = q.typical_subspace_projector(rho, n, delta)
+        want = typical_projector_from_strings(rho, n, delta)
+        assert proj.dtype == complex
+        assert np.max(np.abs(proj - want)) < 1e-12
+
+
+def test_typical_subspace_projector_size_guard():
+    rho = q.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            q.typical_subspace_projector(rho, 13, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError):
+        q.typical_subspace_projector(rho, 0, 0.2)
 
 
 def test_compression_full_rate_always_succeeds():

@@ -1,19 +1,75 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qilab as q
+from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
 from qilab.tensor import permutation_operator, swap_operator, tensor
 
 RNG = np.random.default_rng(19)
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6)])
+def symmetric_projector_from_permutations(d: int, n: int) -> np.ndarray:
+    """(1/n!) sum_pi P_pi; independent reference, feasible for small n."""
+    dim = d**n
+    acc = np.zeros((dim, dim), dtype=complex)
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        acc += permutation_operator(d, list(perm))
+        count += 1
+    return acc / count
+
+
+def haar_moment_deviation(d: int, n: int, samples: int, seed: int = 0) -> dict[str, float]:
+    """Monte Carlo check of E[phi^(x n)] = Pi_sym / dim Sym^n.
+
+    Returns the operator-norm deviation of the sample mean together with a
+    crude scale for the expected statistical fluctuation.
+    """
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    acc = np.zeros((dim, dim), dtype=complex)
+    for _ in range(samples):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        w = v
+        for _ in range(n - 1):
+            w = np.kron(w, v)
+        acc += np.outer(w, w.conj())
+    mean = acc / samples
+    target = q.symmetric_projector(d, n) / q.symmetric_dimension(d, n)
+    dev = float(np.linalg.norm(mean - target, ord=2))
+    return {"deviation": dev, "fluctuation_scale": 1.0 / math.sqrt(samples)}
+
+
+def spin_projectors_from_dense_j2(n: int, tol: float = 1e-7) -> list[tuple[float, np.ndarray]]:
+    """(j, projector) from one complex eigh of J^2 built from Pauli chains."""
+    dim = 2**n
+    js = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
+    for i in range(n):
+        for a, s in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+            ops = [np.eye(2, dtype=complex)] * n
+            ops[i] = s / 2
+            js[a] += tensor(*ops)
+    vals, vecs = np.linalg.eigh(sum(j @ j for j in js))
+    out = []
+    for m in range(n // 2 + 1):
+        j = n / 2 - m
+        sel = np.abs(vals - j * (j + 1)) < tol
+        if np.any(sel):
+            v = vecs[:, sel]
+            out.append((j, v @ v.conj().T))
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 4), (4, 3)])
 def test_symmetric_projector_matches_permutation_average(d, n):
     a = q.symmetric_projector(d, n)
-    b = q.symmetric_projector_from_permutations(d, n)
+    b = symmetric_projector_from_permutations(d, n)
     assert np.max(np.abs(a - b)) < 1e-12
     assert np.max(np.abs(a @ a - a)) < 1e-12
     assert np.trace(a).real == pytest.approx(q.symmetric_dimension(d, n), abs=1e-9)
@@ -26,7 +82,7 @@ def test_symmetric_projector_two_copies_closed_form():
 
 
 def test_haar_moment_identity_monte_carlo():
-    out = q.haar_moment_deviation(2, 2, samples=4000, seed=5)
+    out = haar_moment_deviation(2, 2, samples=4000, seed=5)
     assert out["deviation"] < 6 * out["fluctuation_scale"]
 
 
@@ -123,6 +179,49 @@ def test_spin_projectors_structure():
             assert np.max(np.abs(b.projector @ b.projector - b.projector)) < 1e-9
             acc += b.projector
         assert np.max(np.abs(acc - np.eye(2**n))) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_spin_projectors_match_dense_j2_eigh(n):
+    blocks = q.spin_projectors(n)
+    want = spin_projectors_from_dense_j2(n)
+    assert [b.j for b in blocks] == [j for j, _ in want]
+    acc = np.zeros((2**n, 2**n), dtype=complex)
+    for b, (j, proj) in zip(blocks, want):
+        assert b.multiplicity == q.spin_multiplicity(n, j)
+        assert b.projector.dtype == complex
+        assert np.max(np.abs(b.projector - proj)) < 1e-10
+        for i, k in itertools.combinations(range(n), 2):
+            perm = list(range(n))
+            perm[i], perm[k] = k, i
+            swap = permutation_operator(2, perm)
+            assert np.max(np.abs(swap @ b.projector - b.projector @ swap)) < 1e-10
+        acc += b.projector
+    assert np.max(np.abs(acc - np.eye(2**n))) < 1e-10
+
+
+def test_projector_builders_reject_negative_n():
+    with pytest.raises(ValueError):
+        q.symmetric_projector(2, -1)
+    with pytest.raises(ValueError):
+        q.spin_projectors(-1)
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_projector_builders_allocate_little_beyond_their_output():
+    proj, peak = _traced_peak(lambda: q.symmetric_projector(2, 12))
+    assert peak <= proj.nbytes + 8 * 2**20
+    blocks, peak = _traced_peak(lambda: q.spin_projectors(10))
+    assert peak <= sum(b.projector.nbytes for b in blocks) + 8 * 2**20
 
 
 @pytest.mark.parametrize("r", [0.0, 0.1, 0.3, 0.5])
