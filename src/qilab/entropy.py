@@ -19,7 +19,7 @@ ENUMERATION_CAP = 2**22
 
 def _checked_distribution(p: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
+    if not (np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol):  # also rejects NaN, inf
         raise ValueError("not a probability distribution")
     return np.clip(p, 0.0, None)
 

@@ -142,7 +142,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
     the Shannon entropy of the spectrum.
     """
     p = np.asarray(spectrum, dtype=float)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("spectrum must be a probability distribution")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p)

@@ -181,17 +181,29 @@ def spectrum_estimation_distribution(r: float, n: int) -> dict[float, float]:
     (1/2 + r, 1/2 - r).
 
     Pr[j] = m_j q^{n/2-j} p^{n/2-j} sum_{m=-j}^{j} p^{j+m} q^{j-m}
-    with p = 1/2 + r, q = 1/2 - r.
+    with p = 1/2 + r, q = 1/2 - r.  The inner sum is geometric,
+    (p^{2j+1} - q^{2j+1}) / (p - q), and each term is formed in log space
+    from the exact multiplicity (running binomials), so large n neither
+    overflows nor costs O(n^2) powers.
     """
     if not 0.0 <= r <= 0.5:
         raise ValueError("r must lie in [0, 1/2]")
+    if r == 0.5:  # q = 0: all weight on j = n/2, whose multiplicity is 1
+        return {j: float(j == n / 2) for j in _j_values(n)}
     p, q = 0.5 + r, 0.5 - r
     out: dict[float, float] = {}
-    for j in _j_values(n):
-        half = n / 2 - j  # integer by construction
-        inner = sum(p ** (j + m) * q ** (j - m) for m in
-                    [j - t for t in range(int(2 * j) + 1)])
-        out[j] = spin_multiplicity(n, j) * (p * q) ** half * inner
+    binom_prev, binom = 0, 1  # C(n, t - 1), C(n, t) with t = n/2 - j
+    for t, j in enumerate(_j_values(n)):
+        m_j = binom - binom_prev  # spin_multiplicity(n, j)
+        binom_prev, binom = binom, binom * (n - t) // (t + 1)
+        k = int(2 * j) + 1  # terms of the inner sum
+        if r == 0.0:  # p = q = 1/2: the inner sum is k 2^{-2j}
+            log_weight = math.log(k) - n * math.log(2)
+        else:  # p^k (1 - (q/p)^k) / (2r), with q/p = 1 - 2r/p
+            log_weight = ((n / 2 - j) * math.log(p * q) + k * math.log(p)
+                          + math.log(-math.expm1(k * math.log1p(-2 * r / p)))
+                          - math.log(2 * r))
+        out[j] = math.exp(math.log(m_j) + log_weight)
     return out
 
 

@@ -362,10 +362,13 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]],
 
     The optimum equals 1 - 1/w(G); the quadratic side is maximized by
     replicator-dynamics ascent from random simplex starts plus the uniform
-    distribution on every maximum clique candidate.
+    distribution on every maximum clique candidate.  All starts ascend
+    together as the rows of one (starts + 2) x n array.
     """
     if n < 1 or n > 20:
         raise ValueError("vertex count must be in 1..20")
+    if starts < 0:
+        raise ValueError("starts must be non-negative")
     eset = set()
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
@@ -376,23 +379,18 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]],
     for i, j in eset:
         adj[i, j] = adj[j, i] = 1.0
     rng = np.random.default_rng(seed)
-    best = 0.0
-    inits = [rng.dirichlet(np.ones(n)) for _ in range(starts)]
-    inits.append(np.ones(n) / n)
     uniform_clique = np.zeros(n)
-    for v in clique:
-        uniform_clique[v] = 1.0 / len(clique)
-    inits.append(uniform_clique)
-    for p in inits:
-        p = p.copy()
-        for _ in range(iterations):
-            ap = adj @ p
-            q = p * ap
-            tot = q.sum()
-            if tot < 1e-15:
-                break
-            p = q / tot
-        val = float(p @ adj @ p)
-        best = max(best, val)
+    uniform_clique[list(clique)] = 1.0 / len(clique)
+    # one row per start: the random simplex points, uniform, uniform on the clique
+    p = np.vstack([rng.dirichlet(np.ones(n), size=starts), np.full(n, 1.0 / n),
+                   uniform_clique])
+    for _ in range(iterations):
+        q = p * (p @ adj)
+        tot = q.sum(axis=1)
+        moving = tot >= 1e-15  # a row whose mass vanishes keeps its last point
+        if not moving.any():
+            break
+        np.divide(q, tot[:, None], out=p, where=moving[:, None])
+    best = max(0.0, float(np.max(np.einsum("si,si->s", p @ adj, p))))
     return MotzkinStrausReport(w, best)
 

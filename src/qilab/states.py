@@ -168,7 +168,7 @@ def from_ensemble(probs: Sequence[float], states: Sequence[PureState | DensityMa
     p = np.asarray(probs, dtype=float)
     if len(p) != len(states):
         raise ValueError("probability/state count mismatch")
-    if np.any(p < -ZERO_PROB) or abs(p.sum() - 1.0) > 1e-9:
+    if not (np.all(p >= -ZERO_PROB) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("probabilities must be nonnegative and sum to 1")
     dims = states[0].dims
     acc = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)

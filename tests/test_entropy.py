@@ -16,8 +16,10 @@ def test_shannon_and_binary_entropy_values():
     assert q.binary_entropy(0.5) == pytest.approx(1.0)
     p = 0.11
     assert q.binary_entropy(p) == pytest.approx(-p * math.log2(p) - (1 - p) * math.log2(1 - p))
-    with pytest.raises(ValueError):
-        q.shannon_entropy([0.5, 0.6])
+    for bad in ([0.5, 0.6], [math.nan, 0.5], [math.nan, 1.0], [math.inf, 0.0],
+                [1.0, -math.inf], [math.inf, -math.inf]):
+        with pytest.raises(ValueError):
+            q.shannon_entropy(bad)
 
 
 def test_binary_relative_entropy():

@@ -75,6 +75,9 @@ def test_distillation_yield_concentrates():
     assert y <= n  # at most n ebits from qubit spectra
     assert y / n == pytest.approx(1.0, abs=0.02)
     assert q.distillation_yield([1.0, 0.0], 100, seed=0) == 0.0
+    for bad in ([math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0], [math.inf, -math.inf]):
+        with pytest.raises(ValueError):
+            q.distillation_yield(bad, 10)
 
 
 def test_dilution_rank_bound():

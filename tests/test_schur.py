@@ -237,6 +237,35 @@ def test_spectrum_distribution_matches_projector_traces(r):
         assert dist[b.j] == pytest.approx(np.trace(b.projector @ big).real, abs=1e-10)
 
 
+def spectrum_distribution_exact(r, n):
+    """Pr[j] as Fractions from the defining sum, with r taken exactly."""
+    p, q_ = Fraction(1, 2) + Fraction(r), Fraction(1, 2) - Fraction(r)
+    out = {}
+    for two_j in range(n % 2, n + 1, 2):
+        inner = sum(p ** t * q_ ** (two_j - t) for t in range(two_j + 1))
+        out[two_j / 2] = q.spin_multiplicity(n, two_j / 2) * (p * q_) ** ((n - two_j) // 2) * inner
+    return out
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.5])
+def test_spectrum_distribution_matches_exact_fractions(r):
+    for n in range(0, 41):
+        dist = q.spectrum_estimation_distribution(r, n)
+        exact = spectrum_distribution_exact(r, n)
+        assert set(dist) == set(exact)
+        for j, want in exact.items():
+            assert abs(Fraction(dist[j]) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [1100, 4096])
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.5])
+def test_spectrum_distribution_large_n(n, r):
+    dist = q.spectrum_estimation_distribution(r, n)
+    assert len(dist) == n // 2 + 1
+    assert all(math.isfinite(v) and v >= 0 for v in dist.values())
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_spectrum_distribution_extremes():
     dist = q.spectrum_estimation_distribution(0.5, 6)
     assert dist[3.0] == pytest.approx(1.0)

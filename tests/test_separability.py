@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import qilab as q
-from qilab.separability import FeasStatus, _marginal_inverse, _symmetrize_b
+import qilab.separability as sep
+from qilab.separability import FeasStatus, _marginal_inverse, _max_clique, _symmetrize_b
 from qilab.tensor import partial_trace, permutation_operator, tensor, trace_distance
 
 RNG = np.random.default_rng(31)
@@ -217,6 +218,56 @@ def test_motzkin_straus(n, edges, w):
     rep = q.motzkin_straus(n, edges, seed=1)
     assert rep.clique_number == w
     assert rep.optimization_value == pytest.approx(1 - 1 / w, abs=1e-6)
+
+
+def motzkin_straus_per_start(n, edges, starts, iterations, seed, clique):
+    """Replicator ascent run one start at a time: best p^T A p over the starts."""
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1.0
+    rng = np.random.default_rng(seed)
+    inits = [rng.dirichlet(np.ones(n)) for _ in range(starts)]
+    inits.append(np.ones(n) / n)
+    uniform_clique = np.zeros(n)
+    for v in clique:
+        uniform_clique[v] = 1.0 / len(clique)
+    inits.append(uniform_clique)
+    best = 0.0
+    for p in inits:
+        for _ in range(iterations):
+            q_ = p * (adj @ p)
+            tot = q_.sum()
+            if tot < 1e-15:
+                break
+            p = q_ / tot
+        best = max(best, float(p @ adj @ p))
+    return best
+
+
+def test_motzkin_straus_matches_per_start_loop(monkeypatch):
+    rng = np.random.default_rng(8)
+    graphs = [(1, []), (6, []), (2, [(0, 1)])]
+    for _ in range(32):
+        n = int(rng.integers(2, 11))
+        density = rng.uniform(0.1, 0.9)
+        graphs.append((n, [e for e in itertools.combinations(range(n), 2)
+                           if rng.random() < density]))
+    for k, (n, edges) in enumerate(graphs):
+        w, clique = _max_clique(n, set(edges))
+        rep = q.motzkin_straus(n, edges, starts=10, iterations=300, seed=k)
+        assert rep.clique_number == w
+        want = motzkin_straus_per_start(n, edges, 10, 300, k, clique)
+        assert rep.optimization_value == pytest.approx(want, abs=1e-12)
+    # The uniform-on-clique start attains the optimum 1 - 1/w.  Pinned to one
+    # vertex it does not, so the value comes from the random and uniform starts.
+    monkeypatch.setattr(sep, "_max_clique", lambda n, eset: (_max_clique(n, eset)[0], {0}))
+    for k, (n, edges) in enumerate(graphs):
+        iterations = (0, 1, 3)[k % 3]
+        rep = q.motzkin_straus(n, edges, starts=10, iterations=iterations, seed=k)
+        want = motzkin_straus_per_start(n, edges, 10, iterations, k, {0})
+        assert rep.optimization_value == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError):
+        q.motzkin_straus(3, [(0, 1)], starts=-1)
 
 
 def test_data_hiding_closed_form_matches_matrix():

@@ -36,6 +36,10 @@ def test_pure_state_validation():
 def test_from_ensemble_and_born():
     psis = [q.random_pure_state(2, RNG) for _ in range(3)]
     rho = q.from_ensemble([0.5, 0.3, 0.2], psis)
+    for bad in ([math.nan, 0.5, 0.5], [1.0, math.nan, 0.0], [math.inf, 0.0, 0.0],
+                [1.0, -math.inf, math.inf]):
+        with pytest.raises(ValueError):
+            q.from_ensemble(bad, psis)
     povm = q.tetrahedron_povm()
     p = q.born_probabilities(rho, povm)
     assert abs(p.sum() - 1) < 1e-12
