@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import DEFAULT_SIZE_CAP, basis_digits, hermitian_eig
+from .tensor import _check_size, basis_digits, hermitian_eig
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -51,11 +51,15 @@ def binary_relative_entropy(x: float, y: float) -> float:
     return total
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr rho log2 rho via the eigenvalue spectrum."""
-    vals = np.clip(rho.eigenvalues(), 0.0, None)
+def _spectrum_entropy(vals: np.ndarray) -> float:
+    """-sum v log2 v over the eigenvalues above 1e-15."""
     nz = vals[vals > 1e-15]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) = -tr rho log2 rho via the eigenvalue spectrum."""
+    return _spectrum_entropy(rho.eigenvalues())
 
 
 def classical_mutual_information(pxy: np.ndarray) -> float:
@@ -252,13 +256,10 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     if n < 1:
         raise ValueError("block length n must be at least 1")
     d = rho.dim
-    dim = d**n
-    if dim > DEFAULT_SIZE_CAP:
-        raise ValueError(f"operator size {dim} exceeds cap {DEFAULT_SIZE_CAP}")
+    _check_size(d**n)
     eig = hermitian_eig(rho.mat)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    s = float(-np.sum(vals[vals > 1e-15] * np.log2(vals[vals > 1e-15])))
-    logs = np.array([-math.log2(v) if v > 1e-15 else math.inf for v in vals])
+    s = _spectrum_entropy(eig.eigenvalues)
+    logs = np.array([-math.log2(v) if v > 1e-15 else math.inf for v in eig.eigenvalues])
     digits = basis_digits(d, n)
     # summed position by position: each string's terms add up in string order
     typical = np.abs(sum(logs[x] for x in digits) / n - s) <= delta

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _log2_bigint, shannon_entropy
+from .entropy import _log2_bigint, _multinomial, shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
 from .tensor import tensor
 
@@ -145,12 +145,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("spectrum must be a probability distribution")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, p)
-    size = 1
-    rem = n
-    for c in counts:
-        size *= math.comb(rem, int(c))
-        rem -= int(c)
+    size = _multinomial(n, [int(c) for c in rng.multinomial(n, p)])
     return _log2_bigint(size) if size > 1 else 0.0
 
 

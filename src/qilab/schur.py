@@ -12,9 +12,7 @@ import numpy as np
 
 from .entropy import binary_relative_entropy
 from .states import DensityMatrix, PureState
-from .tensor import basis_digits, hermitian_eig
-
-SIZE_CAP = 4096
+from .tensor import _check_size, basis_digits, hermitian_eig
 
 
 def symmetric_dimension(d: int, n: int) -> int:
@@ -22,7 +20,7 @@ def symmetric_dimension(d: int, n: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def symmetric_projector(d: int, n: int, size_cap: int = SIZE_CAP) -> np.ndarray:
+def symmetric_projector(d: int, n: int) -> np.ndarray:
     """Projector onto Sym^n(C^d), assembled from normalized type vectors.
 
     For each occupation type t the vector is the uniform superposition of
@@ -34,8 +32,7 @@ def symmetric_projector(d: int, n: int, size_cap: int = SIZE_CAP) -> np.ndarray:
     if n < 0:
         raise ValueError("need n >= 0")
     dim = d**n
-    if dim > size_cap:
-        raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
+    _check_size(dim)
     # a string's sorted digits name its type
     types, type_of = np.unique(np.sort(basis_digits(d, n), axis=0), axis=1,
                                return_inverse=True)
@@ -74,8 +71,7 @@ def symmetric_purification(rho: DensityMatrix, tol: float = 1e-8) -> PureState:
     if len(set(dims)) != 1 or len(dims) < 2:
         raise ValueError("state must live on n >= 2 equal subsystems")
     d, n = dims[0], len(dims)
-    if rho.dim > SIZE_CAP:
-        raise ValueError(f"operator size {rho.dim} exceeds cap {SIZE_CAP}")
+    _check_size(rho.dim)
     # invariance check on adjacent transpositions (they generate S_n),
     # applied to the row and column axes of the tensor together
     t = rho.mat.reshape((d,) * (2 * n))
@@ -108,17 +104,6 @@ def spin_multiplicity(n: int, j: float) -> int:
     return math.comb(n, k) - (math.comb(n, k - 1) if k >= 1 else 0)
 
 
-def spin_multiplicity_recursive(n: int, j: float) -> int:
-    """Pascal-style recursion m_j^(n+1) = m_{j+1/2}^(n) + m_{j-1/2}^(n)."""
-    table = {0.0: 1}  # n = 0: single trivial block
-    for m in range(1, n + 1):
-        new: dict[float, int] = {}
-        for jv in _j_values(m):
-            new[jv] = table.get(jv + 0.5, 0) + (table.get(jv - 0.5, 0) if jv > 0 else 0)
-        table = new
-    return table.get(float(j), 0)
-
-
 def spin_multiplicity_bound(n: int, j: float) -> float:
     """m_j^(n) <= 2^{n h(1/2 + j/n)} via the binomial entropy bound."""
     x = 0.5 + j / n
@@ -136,7 +121,7 @@ class SpinBlock:
     projector: np.ndarray
 
 
-def spin_projectors(n: int, tol: float = 1e-7, size_cap: int = SIZE_CAP) -> list[SpinBlock]:
+def spin_projectors(n: int, tol: float = 1e-7) -> list[SpinBlock]:
     """Total-spin projectors on n qubits from the spectrum of J^2.
 
     J^2 = n(4 - n)/4 I + sum_{i<k} SWAP_ik is real and conserves the Hamming
@@ -147,8 +132,7 @@ def spin_projectors(n: int, tol: float = 1e-7, size_cap: int = SIZE_CAP) -> list
     if n < 0:
         raise ValueError("need n >= 0")
     dim = 2**n
-    if dim > size_cap:
-        raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
+    _check_size(dim)
     digits = basis_digits(2, n)
     weight = digits.sum(axis=0)
     place = 2 ** np.arange(n - 1, -1, -1)

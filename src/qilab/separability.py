@@ -12,6 +12,7 @@ import numpy as np
 
 from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
+    _check_size,
     hermitian_eig,
     partial_trace,
     partial_transpose,
@@ -144,9 +145,7 @@ def k_extendibility(rho: DensityMatrix, k: int,
     if k < 2:
         raise ValueError("k must be at least 2")
     d_a, d_b = rho.dims
-    dim = d_a * d_b**k
-    if dim > 4096:
-        raise ValueError(f"extension dimension {dim} exceeds cap")
+    _check_size(d_a * d_b**k)
     dims_ext = (d_a,) + (d_b,) * k
     eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
 
@@ -265,8 +264,7 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
 # support functions h_Sep and h_{n-ext}
 # ---------------------------------------------------------------------------
 
-def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int,
-            size_cap: int = 4096) -> float:
+def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     """Largest eigenvalue of (I x Pi_sym) (M x I^{n-1}) (I x Pi_sym).
 
     Upper-bounds h_Sep(M) and converges to it at rate d_B/n.
@@ -274,9 +272,7 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int,
     from .schur import symmetric_projector
 
     d_a, d_b = dims
-    dim = d_a * d_b**n
-    if dim > size_cap:
-        raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
+    _check_size(d_a * d_b**n)
     pi = symmetric_projector(d_b, n)
     big = tensor(np.asarray(m, dtype=complex), np.eye(d_b ** (n - 1)))
     sand = tensor(np.eye(d_a), pi)

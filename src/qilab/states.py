@@ -8,6 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import (
+    _check_dims,
+    _check_size,
     hermitian_eig,
     is_hermitian,
     partial_trace,
@@ -31,15 +33,6 @@ class ZeroProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
-def _normalize_dims(dim: int, dims: Sequence[int] | None) -> tuple[int, ...]:
-    if dims is None:
-        return (dim,)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != dim:
-        raise ValueError(f"dims {dims} do not multiply to {dim}")
-    return dims
-
-
 @dataclass(frozen=True)
 class PureState:
     """Unit vector on a composite space."""
@@ -50,7 +43,7 @@ class PureState:
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "dims", _normalize_dims(amps.size, self.dims))
+        object.__setattr__(self, "dims", _check_dims(amps.size, self.dims))
         nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"state vector norm {nrm} is not 1 within 1e-10")
@@ -60,6 +53,7 @@ class PureState:
         return self.amps.size
 
     def density(self) -> "DensityMatrix":
+        _check_size(self.dim)
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), self.dims)
 
     def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
@@ -87,7 +81,7 @@ class DensityMatrix:
         if lo < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {lo}")
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "dims", _normalize_dims(m.shape[0], self.dims))
+        object.__setattr__(self, "dims", _check_dims(m.shape[0], self.dims))
 
     @property
     def dim(self) -> int:

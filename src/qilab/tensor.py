@@ -10,8 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Refuse to materialize operators larger than this (rows) unless overridden.
-DEFAULT_SIZE_CAP = 4096
+#: Largest operator (rows) the library materializes.
+SIZE_CAP = 4096
 
 HERMITICITY_TOL = 1e-9
 
@@ -23,15 +23,22 @@ def _as_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
+def _check_size(dim: int) -> None:
+    """Refuse an operator of more than SIZE_CAP rows before it is built."""
+    if dim > SIZE_CAP:
+        raise ValueError(f"operator size {dim} exceeds cap {SIZE_CAP}")
+
+
+def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
+    """Positive subsystem dimensions multiplying to ``size``; None is one system."""
+    if dims is None:
+        return (size,)
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     total = int(np.prod(dims))
-    if m.shape[0] != total:
-        raise ValueError(
-            f"dims {dims} imply size {total}, but matrix has size {m.shape[0]}"
-        )
+    if size != total:
+        raise ValueError(f"dims {dims} imply size {total}, but the space has size {size}")
     return dims
 
 
@@ -52,7 +59,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     carries the kept subsystems in their original relative order.
     """
     m = _as_matrix(m)
-    dims = _check_dims(m, dims)
+    dims = _check_dims(m.shape[0], dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
@@ -69,7 +76,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
 def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[int] | int) -> np.ndarray:
     """Transpose the given subsystem(s) only."""
     m = _as_matrix(m)
-    dims = _check_dims(m, dims)
+    dims = _check_dims(m.shape[0], dims)
     n = len(dims)
     if isinstance(subsystems, (int, np.integer)):
         subsystems = [int(subsystems)]
@@ -136,7 +143,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray, tol: float = HERMITICITY_TOL) -
     return 0.5 * trace_norm(a - b)
 
 
-def permutation_operator(d: int, perm: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
     """Unitary permuting n subsystems of equal dimension d.
 
     ``perm`` lists images: position i is sent to position perm[i], i.e.
@@ -147,8 +154,7 @@ def permutation_operator(d: int, perm: Sequence[int], size_cap: int = DEFAULT_SI
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
     dim = d**n
-    if dim > size_cap:
-        raise ValueError(f"operator size {dim} exceeds cap {size_cap}")
+    _check_size(dim)
     t = np.eye(dim).reshape((d,) * (2 * n))
     # Axis k of the "row" block corresponds to output slot k; pull input
     # slot inv[k] into it.
@@ -168,6 +174,6 @@ def basis_digits(d: int, n: int) -> np.ndarray:
     return np.indices((d,) * n).reshape(n, d**n)
 
 
-def swap_operator(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def swap_operator(d: int) -> np.ndarray:
     """Flip operator F on C^d x C^d: F|a,b> = |b,a>."""
-    return permutation_operator(d, [1, 0], size_cap=size_cap)
+    return permutation_operator(d, [1, 0])

@@ -10,6 +10,7 @@ import numpy as np
 import qilab as q
 from qilab.separability import FeasStatus
 from qilab.tensor import trace_distance
+from tests_helpers_schur import spin_multiplicity_recursive
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -97,7 +98,7 @@ def test_06_schur_weyl_multiplicities_and_spectrum():
         for m in range(n // 2 + 1):
             j = n / 2 - m
             mj = q.spin_multiplicity(n, j)
-            ok &= mj == q.spin_multiplicity_recursive(n, j)
+            ok &= mj == spin_multiplicity_recursive(n, j)
             ok &= mj <= q.spin_multiplicity_bound(n, j) * (1 + 1e-12)
             total += round(2 * j + 1) * mj
         ok &= total == 2**n

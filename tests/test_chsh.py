@@ -45,6 +45,10 @@ def test_bell_operator_phi_plus_expectation():
 def test_bell_operator_validation():
     with pytest.raises(ValueError):
         q.bell_operator(np.eye(2) * 2, *q.optimal_observables()[1:])
+    for bad in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]),
+                np.array([[0.0, np.inf], [np.inf, 0.0]])):
+        with pytest.raises(ValueError):
+            q.bell_operator(bad, *q.optimal_observables()[1:])
 
 
 def random_observable(d=2):

@@ -145,6 +145,16 @@ def test_cli_input_errors(tmp_path, capsys):
     path = write_density(tmp_path, q.phi_plus().density())
     assert main(["ppt", "--state", path, "--cut", "3"]) == 1
     assert main(["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5"]) == 1
+    # checks that only the library makes
+    ghz = write_density(tmp_path, q.ghz_state().density(), "ghz.json")
+    bell = write_pure(tmp_path, q.phi_plus(), "bell.json")
+    qutrit = write_pure(tmp_path, q.PureState(np.array([1.0, 0.0, 0.0])), "qutrit.json")
+    assert main(["definetti", "--d", "2", "--n", "0", "--k", "1"]) == 1
+    assert main(["datahiding", "--d", "1"]) == 1
+    assert main(["spectrum", "--r", "0.7", "--n", "10"]) == 1
+    assert main(["extend", "--state", ghz, "--k", "2"]) == 1
+    assert main(["classify3q", "--state", bell]) == 1
+    assert main(["teleport", "--state", qutrit]) == 1
     assert capsys.readouterr().out == ""
 
 
@@ -159,13 +169,15 @@ def test_cli_text_format(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["ppt", "--state", "{phi}", "--cut", "3"],  # IndexError inside the library
     ["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5", "--trials", "5"],
+    ["ppt", "--state", "{big}"],  # a 2^17-amplitude pure state: its density is over the cap
 ])
 def test_cli_library_errors_exit_1_without_traceback(tmp_path, argv):
     phi = write_density(tmp_path, q.phi_plus().density())
+    big = write_pure(tmp_path, q.PureState(np.eye(1, 2**17)[0], (256, 512)), "big.json")
     src = str(pathlib.Path(q.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-m", "qilab.cli", *(a.format(phi=phi) for a in argv)],
+    proc = subprocess.run([sys.executable, "-m", "qilab.cli", *(a.format(phi=phi, big=big) for a in argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""

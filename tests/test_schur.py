@@ -9,6 +9,7 @@ import pytest
 import qilab as q
 from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
 from qilab.tensor import permutation_operator, swap_operator, tensor
+from tests_helpers_schur import spin_multiplicity_recursive
 
 RNG = np.random.default_rng(19)
 
@@ -163,7 +164,7 @@ def test_spin_multiplicities_closed_form_vs_recursion():
         for m in range(n // 2 + 1):
             j = n / 2 - m
             mj = q.spin_multiplicity(n, j)
-            assert mj == q.spin_multiplicity_recursive(n, j)
+            assert mj == spin_multiplicity_recursive(n, j)
             assert mj <= q.spin_multiplicity_bound(n, j) + 1e-6
             total += round(2 * j + 1) * mj
         assert total == 2**n

@@ -178,7 +178,7 @@ def test_antisymmetric_pair_is_two_extendible_via_slater():
     # target lives on (q1,q2,q1',q2'); permute to (q1,q1',q2,q2')
     tt = target.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d**4, d**4)
     assert np.max(np.abs(marg - tt)) < 1e-12
-    swap = permutation_operator(d * d, [1, 0], size_cap=2**20)
+    swap = permutation_operator(d * d, [1, 0])
     full_swap = tensor(np.eye(d * d), swap)
     assert np.max(np.abs(full_swap @ ext @ full_swap.conj().T - ext)) < 1e-12
 

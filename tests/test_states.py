@@ -19,6 +19,9 @@ def test_density_matrix_validation():
         q.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError):
         q.DensityMatrix(np.eye(4) / 4, dims=(2, 3))
+    for dims in ((-2, -2), (-1, -4)):  # the product matches the size
+        with pytest.raises(ValueError, match="positive"):
+            q.DensityMatrix(np.eye(4) / 4, dims=dims)
 
 
 def test_pure_state_validation():
@@ -29,6 +32,9 @@ def test_pure_state_validation():
             q.PureState(np.array([1.0, bad]))
         with pytest.raises(ValueError):
             q.PureState(np.array([complex(0.0, bad), 0.0]))
+    for dims in ((-2, -2), (-1, -4)):  # the product matches the size
+        with pytest.raises(ValueError, match="positive"):
+            q.PureState(np.array([1.0, 0.0, 0.0, 0.0]), dims)
     psi = q.PureState(np.array([1.0, 0.0]))
     assert psi.dims == (2,)
 

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qilab as q
 from qilab.tensor import (
+    SIZE_CAP,
     EigDecomposition,
+    _check_size,
     hermitian_eig,
     partial_trace,
     partial_transpose,
@@ -120,6 +124,34 @@ def test_swap_operator_and_size_cap():
     assert np.allclose(f @ f, np.eye(9))
     with pytest.raises(ValueError):
         permutation_operator(2, list(range(13)))  # 8192 > 4096
+
+
+# each entry point with an operator of more than 4096 rows, as (function, *args)
+OVERSIZED = {
+    "permutation_operator": lambda: (permutation_operator, 2, list(range(13))),
+    "swap_operator": lambda: (swap_operator, 65),
+    "symmetric_projector": lambda: (q.symmetric_projector, 2, 13),
+    "spin_projectors": lambda: (q.spin_projectors, 13),
+    "k_extendibility": lambda: (q.k_extendibility, q.noisy_epr(0.5), 12),
+    "h_n_ext": lambda: (q.h_n_ext, q.phi_plus().density().mat, (2, 2), 12),
+    "typical_subspace_projector": lambda: (
+        q.typical_subspace_projector, q.DensityMatrix(np.diag([0.7, 0.3]).astype(complex)), 13, 0.2),
+    "PureState.density": lambda: (q.PureState(np.eye(1, 2**13)[0], (2,) * 13).density,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_size_guard_refuses_before_allocating(name):
+    _check_size(SIZE_CAP)  # the cap itself is allowed
+    fn, *args = OVERSIZED[name]()  # inputs are built before tracing starts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap 4096"):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bad_inputs():
