@@ -111,10 +111,10 @@ def bell_operator(a0: np.ndarray, a1: np.ndarray,
     """
     for o in (a0, a1, b0, b1):
         o = np.asarray(o)
-        # "not (x <= tol)" also rejects NaN and inf entries
-        if not np.max(np.abs(o @ o - np.eye(o.shape[0]))) <= 1e-9:
-            raise ValueError("observables must square to the identity")
-        if not np.max(np.abs(o - o.conj().T)) <= 1e-9:
+        # finite entries first: o @ o on NaN or inf would warn before the check
+        if not np.all(np.isfinite(o)) or np.max(np.abs(o @ o - np.eye(o.shape[0]))) > 1e-9:
+            raise ValueError("observables must be finite and square to the identity")
+        if np.max(np.abs(o - o.conj().T)) > 1e-9:
             raise ValueError("observables must be Hermitian")
     return (tensor(a0, b0) + tensor(a0, b1) + tensor(a1, b0) - tensor(a1, b1))
 

@@ -140,6 +140,8 @@ def _cmd_teleport(args) -> tuple[dict, int]:
 def _cmd_compress(args) -> tuple[dict, int]:
     if not 0.0 < args.p0 < 1.0:
         raise FormatError("p0 must lie strictly inside (0, 1)")
+    if args.n > 20000:  # compression_trial itself refuses n < 1
+        raise FormatError("n must lie in 1..20000")
     rep = entropy_mod.compression_trial(
         [args.p0, 1 - args.p0], args.n, args.rate, args.trials, seed=args.seed)
     return {

@@ -4,6 +4,7 @@ All logarithms are base 2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -11,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import _check_size, basis_digits, hermitian_eig
+from .tensor import _checked_power, basis_digits, hermitian_eig
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -158,22 +159,20 @@ class TypicalSetReport:
 
 
 def _iter_types(n: int, d: int):
-    """All count vectors (t_0 .. t_{d-1}) with sum n."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _iter_types(n - first, d - 1):
-            yield (first,) + rest
-
-
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    out = 1
-    rem = n
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
+    """Count vectors t with sum n, in lexicographic order, with their class
+    sizes n!/(t_0! ... t_{d-1}!).  The next type moves one count of the last
+    nonzero t_k to t_{k-1} and the rest to t_{d-1}: the size's factor C(r, c)
+    at level k - 1 becomes C(r, c + 1) = C(r, c) t_k/(c + 1), the later ones 1.
+    """
+    t, size = [0] * (d - 1) + [int(n)], [1] * d  # size[i]: the factors of levels 0 .. i
+    while True:
+        yield tuple(t), size[-1]
+        k = max((j for j in range(1, d) if t[j]), default=0)  # the last nonzero count
+        if not k:
+            return
+        size[k - 1] = size[k - 1] * t[k] // (t[k - 1] + 1)
+        t[k - 1], t[k], t[-1] = t[k - 1] + 1, 0, t[k] - 1
+        size[k:] = [size[k - 1]] * (d - k)
 
 
 def _log2_bigint(x: int) -> float:
@@ -213,11 +212,8 @@ def typical_set(p: Sequence[float], n: int, delta: float,
     if d**n <= ENUMERATION_CAP:
         size = 0
         mass = 0.0
-        for t in _iter_types(n, d):
-            if any(t[i] > 0 and p[i] == 0 for i in range(d)):
-                continue
-            if type_typical(t):
-                cnt = _multinomial(n, t)
+        for t, cnt in _iter_types(n, d):
+            if type_typical(t):  # a count on a zero-probability symbol makes ll infinite
                 size += cnt
                 mass += cnt * math.prod(p[i] ** t[i] for i in range(d) if t[i])
         log_size = _log2_bigint(size) if size else -math.inf
@@ -256,7 +252,7 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     if n < 1:
         raise ValueError("block length n must be at least 1")
     d = rho.dim
-    _check_size(d**n)
+    _checked_power(d, n)
     eig = hermitian_eig(rho.mat)
     s = _spectrum_entropy(eig.eigenvalues)
     logs = np.array([-math.log2(v) if v > 1e-15 else math.inf for v in eig.eigenvalues])
@@ -299,19 +295,14 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
         raise ValueError("compression simulation supports small alphabets (d <= 4)")
     if n < 1:
         raise ValueError("block length n must be at least 1")
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    types = [t for t in _iter_types(n, d)
+    if not 0 <= rate < math.inf:  # also rejects NaN
+        raise ValueError("rate must be finite and nonnegative")
+    types = [(t, size) for t, size in _iter_types(n, d)
              if not any(t[i] > 0 and p[i] == 0 for i in range(d))]
-    logp = {t: sum(t[i] * math.log(p[i]) for i in range(d) if t[i]) for t in types}
-    types.sort(key=lambda t: -logp[t])
-    sizes = [_multinomial(n, t) for t in types]
-    below = {}
-    acc = 0
-    for t, sz in zip(types, sizes):
-        below[t] = acc
-        acc += sz
-    size_of = dict(zip(types, sizes))
+    types.sort(key=lambda ts: -sum(ts[0][i] * math.log(p[i]) for i in range(d) if ts[0][i]))
+    # each type's (rank of its first string, class size)
+    starts = itertools.accumulate((size for _, size in types), initial=0)
+    below = {t: (first, size) for (t, size), first in zip(types, starts)}
 
     n_rate = n * rate
     rng = np.random.default_rng(seed)
@@ -321,7 +312,8 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
         # uniform rank within the type class (strings of one type are
         # exchangeable), drawn with 63 bits of resolution
         r = int(rng.integers(0, 2**63))
-        rank = below[t] + (size_of[t] * r >> 63)
+        first, size = below[t]
+        rank = first + (size * r >> 63)
         if rank == 0 or _log2_bigint(rank) < n_rate:
             successes += 1
     return CompressionReport(n, rate, trials, successes)

@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _log2_bigint, _multinomial, shannon_entropy
+from .entropy import _log2_bigint, shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
-from .tensor import tensor
+from .tensor import _amplitude_matrix, tensor
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -25,16 +25,13 @@ class SchmidtDecomposition:
     right_basis: np.ndarray         # columns, orthonormal on side B
     cut: tuple[int, ...]            # subsystem indices of side A
     dims: tuple[int, ...]
-    _perm: tuple[int, ...]
 
     def reconstruct(self) -> np.ndarray:
         """Amplitudes in the original subsystem ordering."""
-        da = self.left_basis.shape[0]
-        db = self.right_basis.shape[0]
+        perm = self.cut + tuple(i for i in range(len(self.dims)) if i not in self.cut)
         mat = (self.left_basis * self.coefficients) @ self.right_basis.T
-        shaped = mat.reshape([self.dims[i] for i in self._perm])
-        inv = np.argsort(self._perm)
-        return shaped.transpose(inv).reshape(da * db)
+        shaped = mat.reshape([self.dims[i] for i in perm])
+        return shaped.transpose(np.argsort(perm)).reshape(-1)
 
     def rank(self, tol: float = 1e-12) -> int:
         return int(np.sum(self.coefficients > tol))
@@ -48,13 +45,9 @@ def schmidt(psi: PureState, cut: Sequence[int] | int) -> SchmidtDecomposition:
     n = len(psi.dims)
     if not cut or len(cut) == n or any(c < 0 or c >= n for c in cut):
         raise ValueError(f"cut {cut} is not a proper bipartition of {n} subsystems")
-    rest = tuple(i for i in range(n) if i not in cut)
-    perm = cut + rest
-    da = int(np.prod([psi.dims[i] for i in cut]))
-    db = int(np.prod([psi.dims[i] for i in rest]))
-    mat = psi.amps.reshape(psi.dims).transpose(perm).reshape(da, db)
+    mat = _amplitude_matrix(psi.amps, psi.dims, cut)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtDecomposition(s, u, vh.T, cut, psi.dims, perm)
+    return SchmidtDecomposition(s, u, vh.T, cut, psi.dims)
 
 
 def entanglement_entropy(psi: PureState, cut: Sequence[int] | int) -> float:
@@ -145,7 +138,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("spectrum must be a probability distribution")
     rng = np.random.default_rng(seed)
-    size = _multinomial(n, [int(c) for c in rng.multinomial(n, p)])
+    size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in rng.multinomial(n, p))
     return _log2_bigint(size) if size > 1 else 0.0
 
 

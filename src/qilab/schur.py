@@ -12,7 +12,7 @@ import numpy as np
 
 from .entropy import binary_relative_entropy
 from .states import DensityMatrix, PureState
-from .tensor import _check_size, basis_digits, hermitian_eig
+from .tensor import _check_size, _checked_power, basis_digits, hermitian_eig
 
 
 def symmetric_dimension(d: int, n: int) -> int:
@@ -31,8 +31,7 @@ def symmetric_projector(d: int, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    dim = d**n
-    _check_size(dim)
+    dim = _checked_power(d, n)
     # a string's sorted digits name its type
     types, type_of = np.unique(np.sort(basis_digits(d, n), axis=0), axis=1,
                                return_inverse=True)
@@ -131,8 +130,7 @@ def spin_projectors(n: int, tol: float = 1e-7) -> list[SpinBlock]:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    dim = 2**n
-    _check_size(dim)
+    dim = _checked_power(2, n)
     digits = basis_digits(2, n)
     weight = digits.sum(axis=0)
     place = 2 ** np.arange(n - 1, -1, -1)

@@ -10,9 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .entropy import _iter_types
 from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
+    _as_matrix,
+    _check_dims,
     _check_size,
+    _checked_power,
     hermitian_eig,
     partial_trace,
     partial_transpose,
@@ -145,7 +149,7 @@ def k_extendibility(rho: DensityMatrix, k: int,
     if k < 2:
         raise ValueError("k must be at least 2")
     d_a, d_b = rho.dims
-    _check_size(d_a * d_b**k)
+    _check_size(d_a * _checked_power(d_b, k))
     dims_ext = (d_a,) + (d_b,) * k
     eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
 
@@ -267,17 +271,29 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
 def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     """Largest eigenvalue of (I x Pi_sym) (M x I^{n-1}) (I x Pi_sym).
 
-    Upper-bounds h_Sep(M) and converges to it at rate d_B/n.
+    Upper-bounds h_Sep(M) and converges to it at rate d_B/n.  Built on
+    A x Sym^n(B) in the type basis: |t> = sum_b sqrt(t_b/n) |b>|t - e_b>
+    maps Sym^n into C^{d_B} x Sym^{n-1}, where M x I acts.
     """
-    from .schur import symmetric_projector
-
-    d_a, d_b = dims
-    _check_size(d_a * d_b**n)
-    pi = symmetric_projector(d_b, n)
-    big = tensor(np.asarray(m, dtype=complex), np.eye(d_b ** (n - 1)))
-    sand = tensor(np.eye(d_a), pi)
-    op = sand @ big @ sand
-    return float(np.max(np.linalg.eigvalsh((op + op.conj().T) / 2)))
+    m = _as_matrix(m)
+    d_a, d_b = _check_dims(m.shape[0], dims)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    s = math.comb(n + d_b - 1, n)
+    _check_size(d_a * s)
+    index = {t: i for i, (t, _) in enumerate(_iter_types(n, d_b))}
+    u = np.array([t for t, _ in _iter_types(n - 1, d_b)])
+    up = np.array([[index[tuple(t)] for t in v + np.eye(d_b, dtype=int)] for v in u])
+    w = np.sqrt((u + 1) / n)  # up[:, b] is t = u + e_b, w[:, b] its sqrt(t_b/n)
+    b, c = np.indices((d_b, d_b)).reshape(2, -1)
+    h = ((m + m.conj().T) / 2).reshape(d_a, d_b, d_a, d_b)  # makes op exactly Hermitian
+    op = np.zeros((d_a, s, d_a, s), dtype=complex)
+    # the pairs (t, t') repeat across (b, b') only on the diagonal b = b'
+    np.add.at(op, (slice(None), up[:, b], slice(None), up[:, c]),
+              h[:, b, :, c] * (w[:, b] * w[:, c])[..., None, None])
+    top = float(np.max(np.linalg.eigvalsh(op.reshape(d_a * s, d_a * s))))
+    # the operator vanishes on A x (Sym^n)^perp, which is not empty once n, d_B >= 2
+    return max(top, 0.0) if min(n, d_b) > 1 else top
 
 
 def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],

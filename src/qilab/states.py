@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import (
+    _amplitude_matrix,
     _check_dims,
     _check_size,
     hermitian_eig,
@@ -57,7 +58,11 @@ class PureState:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), self.dims)
 
     def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
-        return self.density().marginal(keep)
+        """Reduced state A A^dag from the (kept x rest) amplitude matrix A."""
+        a = _amplitude_matrix(self.amps, self.dims, keep)
+        _check_size(a.shape[0])
+        kept = tuple(self.dims[k] for k in sorted(set(keep)))
+        return DensityMatrix(a @ a.conj().T, kept)
 
 
 @dataclass(frozen=True)
@@ -210,51 +215,26 @@ class NaimarkDilation:
         return np.array([np.trace(p @ big).real for p in self.projectors])
 
 
-def naimark_dilate(povm: Povm, rng: np.random.Generator | None = None) -> NaimarkDilation:
+def naimark_dilate(povm: Povm) -> NaimarkDilation:
     """Dilate a POVM {Q_i} to projectors P_i = U^dag (I x |i><i|) U.
 
-    The isometry |phi>|0> -> sum_i sqrt(Q_i)|phi> x |i> is completed to a
-    unitary on system x ancilla; measuring the ancilla in the computational
+    The isometry |phi> -> sum_i sqrt(Q_i)|phi> x |i> gives the columns |j>|0>
+    of U and one complete QR the rest; measuring the ancilla in the computational
     basis then reproduces the Born statistics of the POVM.
     """
-    rng = rng or np.random.default_rng(0)
     d, m = povm.dim, len(povm)
-    roots = []
-    for q in povm.elements:
+    v = np.zeros((d * m, d), dtype=complex)
+    for i, q in enumerate(povm.elements):
         eig = hermitian_eig(q)
         vals = np.clip(eig.eigenvalues, 0.0, None)
-        roots.append((eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T)
-    v = np.zeros((d * m, d), dtype=complex)
-    for i, r in enumerate(roots):
         # rows of block i (ancilla value i) read sqrt(Q_i)
-        v[i::m, :] = r
-    # Complete the isometry: orthonormal basis of the complement.
-    u = np.zeros((d * m, d * m), dtype=complex)
-    for j in range(d):
-        u[:, j * m] = v[:, j]
-    proj = np.eye(d * m) - v @ v.conj().T
-    g = proj @ (rng.normal(size=(d * m, d * m)) + 1j * rng.normal(size=(d * m, d * m)))
-    q, _ = np.linalg.qr(g)
-    # columns of q that survive the projection span the complement
-    comp = []
-    for col in q.T:
-        w = proj @ col
-        for c in comp:
-            w = w - c * (c.conj() @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            comp.append(w / nrm)
-        if len(comp) == d * m - d:
-            break
-    free = [idx for idx in range(d * m) if idx % m != 0]
-    for idx, c in zip(free, comp):
-        u[:, idx] = c
-    projs = []
-    for i in range(m):
-        anc = np.zeros((m, m), dtype=complex)
-        anc[i, i] = 1.0
-        projs.append(u.conj().T @ tensor(np.eye(d), anc) @ u)
-    return NaimarkDilation(u, tuple(projs), d, m)
+        v[i::m, :] = (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
+    u = np.empty((d * m, d * m), dtype=complex)
+    u[:, ::m] = v
+    u[:, np.arange(d * m) % m != 0] = np.linalg.qr(v, mode="complete")[0][:, d:]
+    # I x |i><i| keeps the rows of ancilla value i
+    projs = tuple(u[i::m].conj().T @ u[i::m] for i in range(m))
+    return NaimarkDilation(u, projs, d, m)
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix,

@@ -29,6 +29,15 @@ def _check_size(dim: int) -> None:
         raise ValueError(f"operator size {dim} exceeds cap {SIZE_CAP}")
 
 
+def _checked_power(d: int, n: int) -> int:
+    """d**n after ``_check_size``; a huge n is refused before d**n is formed."""
+    if d >= 2 and n > SIZE_CAP.bit_length():
+        raise ValueError(f"operator size of at least {d}^{n} exceeds cap {SIZE_CAP}")
+    dim = d**n
+    _check_size(dim)
+    return dim
+
+
 def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     """Positive subsystem dimensions multiplying to ``size``; None is one system."""
     if dims is None:
@@ -71,6 +80,16 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
         t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
     dkeep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(dkeep, dkeep)
+
+
+def _amplitude_matrix(amps: np.ndarray, dims: Sequence[int], rows: Iterable[int]) -> np.ndarray:
+    """A state vector as a matrix: the subsystems ``rows`` by the rest, each in order."""
+    rows = sorted(set(int(k) for k in rows))
+    if any(k < 0 or k >= len(dims) for k in rows):
+        raise IndexError(f"keep indices {rows} out of range for {len(dims)} subsystems")
+    rest = [i for i in range(len(dims)) if i not in rows]
+    d_rows = int(np.prod([dims[k] for k in rows]))
+    return np.reshape(amps, dims).transpose(rows + rest).reshape(d_rows, -1)
 
 
 def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[int] | int) -> np.ndarray:
@@ -153,8 +172,7 @@ def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    dim = d**n
-    _check_size(dim)
+    dim = _checked_power(d, n)
     t = np.eye(dim).reshape((d,) * (2 * n))
     # Axis k of the "row" block corresponds to output slot k; pull input
     # slot inv[k] into it.

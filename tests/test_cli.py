@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,8 @@ def test_cli_input_errors(tmp_path, capsys):
     path = write_density(tmp_path, q.phi_plus().density())
     assert main(["ppt", "--state", path, "--cut", "3"]) == 1
     assert main(["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5"]) == 1
+    assert main(["compress", "--p0", "0.1", "--n", "10", "--rate", "nan"]) == 1
+    assert main(["compress", "--p0", "0.1", "--n", "20001", "--rate", "0.5"]) == 1
     # checks that only the library makes
     ghz = write_density(tmp_path, q.ghz_state().density(), "ghz.json")
     bell = write_pure(tmp_path, q.phi_plus(), "bell.json")
@@ -156,6 +159,15 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["classify3q", "--state", bell]) == 1
     assert main(["teleport", "--state", qutrit]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("d, k", [(2, 10**6), (3, 10**8)])
+def test_cli_extend_refuses_huge_k_at_once(tmp_path, capsys, d, k):
+    path = write_density(tmp_path, q.phi_plus(d).density())
+    start = time.perf_counter()
+    assert main(["extend", "--state", path, "--k", str(k)]) == 1
+    assert time.perf_counter() - start < 2
+    assert "exceeds cap 4096" in capsys.readouterr().err
 
 
 def test_cli_text_format(tmp_path, capsys):

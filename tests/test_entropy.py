@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qilab as q
+from qilab.entropy import _iter_types
 
 RNG = np.random.default_rng(11)
 
@@ -83,6 +84,24 @@ def brute_force_typical(p, n, delta):
             size += 1
             mass += prob
     return size, mass
+
+
+def multinomial(n, counts):
+    out, rem = 1, n
+    for c in counts:
+        out *= math.comb(rem, c)
+        rem -= c
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_iter_types_sizes_are_multinomials(d):
+    for n in (0, 1, 5, 9):
+        types = list(_iter_types(n, d))
+        assert [t for t, _ in types] == sorted(set(t for t, _ in types))  # lexicographic
+        assert len(types) == math.comb(n + d - 1, n)
+        assert all(sum(t) == n and size == multinomial(n, t) for t, size in types)
+        assert sum(size for _, size in types) == d**n
 
 
 @pytest.mark.parametrize("p,n,delta", [
@@ -195,6 +214,12 @@ def test_compression_full_rate_always_succeeds():
 def test_compression_rejects_empty_block(n):
     with pytest.raises(ValueError):
         q.compression_trial([0.9, 0.1], n, 0.5, trials=5)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -0.5])
+def test_compression_rejects_bad_rate(rate):
+    with pytest.raises(ValueError):
+        q.compression_trial([0.9, 0.1], 10, rate, trials=5)
 
 
 def test_compression_phase_transition_small():

@@ -196,6 +196,53 @@ def test_h_n_ext_sandwich():
     assert q.h_n_ext(m, (2, 2), 1) == pytest.approx(1.0, abs=1e-10)
 
 
+def h_n_ext_dense(m, dims, n):
+    """The sandwich (I x Pi_sym) (M x I) (I x Pi_sym) built in full."""
+    d_a, d_b = dims
+    sand = tensor(np.eye(d_a), q.symmetric_projector(d_b, n))
+    op = sand @ tensor(m, np.eye(d_b ** (n - 1))) @ sand
+    return float(np.max(np.linalg.eigvalsh((op + op.conj().T) / 2)))
+
+
+@pytest.mark.parametrize("dims, n_max", [((2, 2), 8), ((2, 3), 5), ((3, 2), 6), ((2, 4), 4)])
+def test_h_n_ext_matches_dense_sandwich(dims, n_max):
+    dim = dims[0] * dims[1]
+    for n in range(1, n_max + 1):
+        g = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+        # Hermitian, non-Hermitian, and negative definite (the top eigenvalue
+        # of the full sandwich is then the 0 off A x Sym^n once n >= 2)
+        for m in ((g + g.conj().T) / 2, g, -g @ g.conj().T - np.eye(dim)):
+            assert abs(q.h_n_ext(m, dims, n) - h_n_ext_dense(m, dims, n)) < 1e-12
+
+
+@pytest.mark.parametrize("d, ns", [(2, (1, 2, 7, 100, 500)), (3, (1, 2, 5, 12))])
+def test_h_n_ext_phi_plus_closed_form(d, ns):
+    m = q.phi_plus(d).density().mat
+    for n in ns:
+        assert abs(q.h_n_ext(m, (d, d), n) - (n + d - 1) / (n * d)) < 1e-13
+
+
+def test_h_n_ext_builds_only_the_symmetric_block():
+    m = q.random_density_matrix(8, RNG).mat
+    tracemalloc.start()
+    try:
+        q.h_n_ext(m, (2, 4), 5)  # 2 * 4^5 = 2048 rows in full, 2 * 56 on A x Sym^5
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_h_n_ext_input_validation():
+    m = q.phi_plus().density().mat
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            q.h_n_ext(m, (2, 2), n)
+    for bad_m, dims in ((m, (2, 3)), (m[:3], (2, 2)), (m.reshape(-1), (2, 2)), (m, (4, 1, 1))):
+        with pytest.raises(ValueError):
+            q.h_n_ext(bad_m, dims, 2)
+
+
 def test_h_sep_sampled_is_lower_bound():
     for _ in range(5):
         g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import qilab as q
-from qilab.tensor import swap_operator, tensor
+from qilab.tensor import partial_trace, swap_operator, tensor
 
 RNG = np.random.default_rng(7)
 
@@ -66,18 +66,32 @@ def test_post_measurement_and_zero_probability():
         q.post_measurement(rho, np.array([[0.5, 0], [0, 0.5]], dtype=complex))
 
 
+def qutrit_povm():
+    """A random element 0 <= A <= (2/3) I and the three weighted eigenprojectors
+    of I - A: a four-outcome POVM on a qutrit."""
+    g = np.random.default_rng(5).normal(size=(3, 3, 2)) @ [1, 1j]
+    a = g @ g.conj().T
+    a /= 1.5 * np.max(np.linalg.eigvalsh(a))
+    vals, vecs = np.linalg.eigh(np.eye(3) - a)
+    rest = [vals[i] * np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(3)]
+    return q.Povm((a, *rest))
+
+
 def test_naimark_dilation_reproduces_statistics():
-    povm = q.tetrahedron_povm()
-    dil = q.naimark_dilate(povm)
-    u = dil.unitary
-    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-9
-    for p in dil.projectors:
-        assert np.max(np.abs(p @ p - p)) < 1e-9
-    for _ in range(10):
-        rho = q.random_density_matrix(2, RNG)
-        want = q.born_probabilities(rho, povm)
-        got = dil.probabilities(rho)
-        assert np.allclose(want, got, atol=1e-9)
+    projective = q.Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    for povm in (q.tetrahedron_povm(), projective, qutrit_povm()):
+        dil = q.naimark_dilate(povm)
+        u = dil.unitary
+        dim = povm.dim * len(povm)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-9
+        for p in dil.projectors:
+            assert np.max(np.abs(p @ p - p)) < 1e-9
+        for _ in range(10):
+            rho = q.random_density_matrix(povm.dim, RNG)
+            want = q.born_probabilities(rho, povm)
+            got = dil.probabilities(rho)
+            assert np.allclose(want, got, atol=1e-9)
+        assert np.array_equal(q.naimark_dilate(povm).unitary, u)  # deterministic
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -130,6 +144,18 @@ def test_state_zoo():
     assert q.standard_state("noisy_epr", p=0.1).dims == (2, 2)
     with pytest.raises(KeyError):
         q.standard_state("nope")
+
+
+@pytest.mark.parametrize("keep", [[0], [2, 0], [1, 1, 3], [3, 1, 0, 2], []])
+def test_pure_marginal_matches_partial_trace_of_density(keep):
+    dims = (2, 3, 2, 2)
+    psi = q.random_pure_state(dims, RNG)
+    got = psi.marginal(keep)
+    want = partial_trace(psi.density().mat, dims, keep)
+    assert got.dims == tuple(dims[k] for k in sorted(set(keep)))
+    assert np.max(np.abs(got.mat - want)) < 1e-14
+    with pytest.raises(IndexError):
+        psi.marginal([0, 4])
 
 
 def test_tetrahedron_povm_is_valid():

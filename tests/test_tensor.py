@@ -133,7 +133,8 @@ OVERSIZED = {
     "symmetric_projector": lambda: (q.symmetric_projector, 2, 13),
     "spin_projectors": lambda: (q.spin_projectors, 13),
     "k_extendibility": lambda: (q.k_extendibility, q.noisy_epr(0.5), 12),
-    "h_n_ext": lambda: (q.h_n_ext, q.phi_plus().density().mat, (2, 2), 12),
+    # built on A x Sym^n(B): 2 * C(2049, 2048) = 4098 rows
+    "h_n_ext": lambda: (q.h_n_ext, q.phi_plus().density().mat, (2, 2), 2048),
     "typical_subspace_projector": lambda: (
         q.typical_subspace_projector, q.DensityMatrix(np.diag([0.7, 0.3]).astype(complex)), 13, 0.2),
     "PureState.density": lambda: (q.PureState(np.eye(1, 2**13)[0], (2,) * 13).density,),
