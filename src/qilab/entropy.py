@@ -209,7 +209,8 @@ def typical_set(p: Sequence[float], n: int, delta: float,
         ll = sum(c * logs[i] for i, c in enumerate(counts) if c)
         return abs(ll / n - h) <= delta
 
-    if d**n <= ENUMERATION_CAP:
+    # n is bounded before d**n is formed, as in tensor._checked_power
+    if (d < 2 or n <= ENUMERATION_CAP.bit_length()) and d**n <= ENUMERATION_CAP:
         size = 0
         mass = 0.0
         for t, cnt in _iter_types(n, d):

@@ -2,6 +2,7 @@
 and finite de Finetti bounds."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,6 +83,122 @@ def symmetric_purification(rho: DensityMatrix, tol: float = 1e-8) -> PureState:
     root = (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
     amps = root.reshape(-1)  # (sqrt(rho) x I)|Gamma> in row-major layout
     return PureState(amps / np.linalg.norm(amps), dims + dims)
+
+
+# ---------------------------------------------------------------------------
+# Schur-Weyl blocks of (C^d)^{x k}
+# ---------------------------------------------------------------------------
+
+def _permutation_average(t: np.ndarray, slots: Sequence[Sequence[int]],
+                         sign: int = 1) -> np.ndarray:
+    """Average of pi(t) over every permutation pi of ``slots``, each term
+    weighted by sgn(pi) when ``sign`` is -1.
+
+    Each slot is a tuple of axes of ``t`` that move together (a row and its
+    column axis for an operator).  S_j is built from S_{j-1} and its coset
+    representatives e, (i j) for i < j, so the S_m average costs m(m-1)/2
+    axis transposes; with ``sign`` -1 each transposition enters negated.
+    """
+    for j in range(1, len(slots)):
+        acc = t.copy()
+        for i in range(j):
+            axes = list(range(t.ndim))
+            for a, b in zip(slots[i], slots[j]):
+                axes[a], axes[b] = b, a
+            acc += sign * t.transpose(axes)
+        acc /= j + 1
+        t = acc
+    return t
+
+
+def _partitions(k: int, rows: int, top: int | None = None):
+    """Partitions of k into at most ``rows`` parts, each at most ``top``."""
+    if k == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(k, top or k), 0, -1):
+        for rest in _partitions(k - first, rows - 1, first):
+            yield (first,) + rest
+
+
+def _semistandard_fillings(shape: tuple[int, ...], d: int) -> np.ndarray:
+    """Every semistandard filling of ``shape`` from {0..d-1}, in row-reading order.
+
+    Rows weakly increase and columns strictly increase; there are
+    dim Q_shape of them, one row of the result each.
+    """
+    cells = [(i, c) for i, r in enumerate(shape) for c in range(r)]
+    fills: list[tuple[int, ...]] = []
+    value: dict[tuple[int, int], int] = {}
+
+    def grow(p: int) -> None:
+        if p == len(cells):
+            fills.append(tuple(value[c] for c in cells))
+            return
+        i, c = cells[p]
+        lo = max(value[i, c - 1] if c else 0, value[i - 1, c] + 1 if i else 0)
+        for v in range(lo, d):
+            value[i, c] = v
+            grow(p + 1)
+
+    grow(0)
+    return np.array(fills, dtype=np.intp).reshape(len(fills), len(cells))
+
+
+@functools.lru_cache(maxsize=8)
+def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schur-Weyl blocks of (C^d)^{x k} = (+)_lam Q_lam x P_lam.
+
+    Returns (f, q, w), one entry per partition lam of k with at most d rows:
+    f_lam = dim P_lam from the hook-length formula, q_lam = dim Q_lam, and
+    w[lam] (d^k x max q) whose first q_lam columns are an orthonormal basis
+    of one copy of Q_lam, the rest zero.  That copy is the image of the
+    Young symmetrizer of the row-reading tableau (row averages, then signed
+    column averages) applied to the semistandard fillings.  An operator
+    commuting with permutations of the k factors is (+)_lam X_lam x I_{f_lam},
+    with X_lam = w[lam]^T (.) w[lam].  The arrays are cached, so read-only.
+    """
+    shapes = list(_partitions(k, d))
+    f, blocks = [], []
+    place = d ** np.arange(k - 1, -1, -1)
+    for shape in shapes:
+        cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
+        hooks = math.prod(r - c + cols[c] - i - 1
+                          for i, r in enumerate(shape) for c in range(r))
+        f.append(math.factorial(k) // hooks)
+        fills = _semistandard_fillings(shape, d)
+        v = np.zeros((d**k, len(fills)))
+        v[fills @ place, np.arange(len(fills))] = 1.0
+        t = v.reshape((d,) * k + (len(fills),))
+        start = np.cumsum((0,) + shape[:-1])
+        for s, r in zip(start, shape):
+            t = _permutation_average(t, [(p,) for p in range(s, s + r)])
+        for c in range(shape[0]):
+            t = _permutation_average(t, [(s + c,) for s in start[:cols[c]]], -1)
+        blocks.append(np.linalg.qr(t.reshape(d**k, -1))[0])
+    q = np.array([b.shape[1] for b in blocks])
+    w = np.zeros((len(shapes), d**k, q.max()))
+    for l, b in enumerate(blocks):
+        w[l, :, :q[l]] = b
+    f = np.array(f)
+    for a in (f, q, w):
+        a.setflags(write=False)
+    return f, q, w
+
+
+def _blocks_to_operator(x: np.ndarray, d_a: int, d: int, k: int) -> np.ndarray:
+    """(+)_lam X_lam x I_{f_lam} = sum_lam f_lam sym(W_lam X_lam W_lam^T) on
+    C^{d_a} x (C^d)^{x k}, from the zero-padded (n, d_a q_max, d_a q_max)
+    stack of blocks X_lam in the basis of ``_schur_weyl_basis(d, k)``."""
+    f, _, w = _schur_weyl_basis(d, k)
+    n, dim, q_max = w.shape
+    half = (x.reshape(n, -1, q_max) @ w.transpose(0, 2, 1)).reshape(n, d_a, q_max, d_a, dim)
+    full = np.tensordot(w * f[:, None, None], half, axes=([0, 2], [0, 2])).transpose(1, 0, 2, 3)
+    full = _permutation_average(full.reshape(((d_a,) + (d,) * k) * 2),
+                                [(1 + i, k + 2 + i) for i in range(k)])
+    return full.reshape(d_a * dim, d_a * dim)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import _iter_types
+from .schur import _blocks_to_operator, _schur_weyl_basis
 from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
     _as_matrix,
@@ -18,10 +19,7 @@ from .tensor import (
     _check_size,
     _checked_power,
     hermitian_eig,
-    partial_trace,
     partial_transpose,
-    tensor,
-    trace_norm,
 )
 
 
@@ -94,34 +92,22 @@ class FeasibilityReport:
     extension: np.ndarray | None
 
 
-def _symmetrize_b(x: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
-    """Average of P x P^dag over every permutation P of the k B factors.
-
-    S_j is built from S_{j-1} and its coset representatives e, (i j) for
-    i < j, so the S_k average is k(k-1)/2 axis transposes of the
-    (d_A, d_B, ..., d_B) x 2 tensor, applied to row and column axes alike.
-    """
-    n = k + 1
-    t = x.reshape(((d_a,) + (d_b,) * k) * 2)
-    for j in range(2, n):
-        acc = t.copy()
-        for i in range(1, j):
-            axes = list(range(2 * n))
-            axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
-            acc += t.transpose(axes)
-        acc /= j
-        t = acc
-    return t.reshape(x.shape)
-
-
 def _marginal_inverse(m: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     """Inverse of L(D) = tr_{B2..Bk} sym(D x I/d_B^{k-1}) on A B_1 operators.
 
     L(D) = D/k + ((k-1)/k) tr_B(D) x I/d_B, and L preserves tr_B, hence
     L^{-1}(M) = k M - (k-1) tr_B(M) x I/d_B.
     """
-    tr_b = partial_trace(m, (d_a, d_b), [0])
-    return k * m - (k - 1) * tensor(tr_b, np.eye(d_b) / d_b)
+    tr_b = np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    return k * m - (k - 1) / d_b * (tr_b[:, None, :, None] * np.eye(d_b)[:, None]).reshape(m.shape)
+
+
+def _project_psd_blocks(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Eigenvalue clipping of each block of a padded stack by one batched eigh;
+    eigenvectors may mix padding into a block where eigenvalues meet, so the
+    entries outside ``keep`` are zeroed again."""
+    vals, vecs = np.linalg.eigh((z + z.conj().transpose(0, 2, 1)) / 2)
+    return (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1) * keep
 
 
 def k_extendibility(rho: DensityMatrix, k: int,
@@ -135,9 +121,9 @@ def k_extendibility(rho: DensityMatrix, k: int,
     Dykstra's alternating projections between the PSD cone (eigenvalue
     clipping, with correction term) and the affine set of operators that
     are invariant under permuting the B factors and whose A B_1 marginal
-    equals rho.  The affine projection is exact: group-average first, then
-    add the symmetrized marginal correction L^{-1}(rho - marginal), with L
-    inverted in closed form.
+    equals rho.  The iterates commute with those permutations and are kept
+    as Schur-Weyl blocks X_lam on C^{d_A} x Q_lam; the exact affine step adds
+    the blocks of sym(L^{-1}(rho - marginal) x I), L inverted in closed form.
 
     A residual below ``eps_feasible`` yields Feasible with the extension
     attached; a residual plateau above ``eps_gap`` is reported as
@@ -150,35 +136,49 @@ def k_extendibility(rho: DensityMatrix, k: int,
         raise ValueError("k must be at least 2")
     d_a, d_b = rho.dims
     _check_size(d_a * _checked_power(d_b, k))
-    dims_ext = (d_a,) + (d_b,) * k
-    eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
+    f, q, w = _schur_weyl_basis(d_b, k)
+    n, dim_b, q_max = w.shape
+    m, rest, ab_shape = d_a * q_max, dim_b // d_b, rho.mat.shape
+    # u[l, s, j, c, r]: column s of w[l] with factor B_j first (c), the others flat (r)
+    u = np.stack([np.moveaxis(w.reshape((n,) + (d_b,) * k + (q_max,)), 1 + j, 1)
+                  for j in range(k)], axis=-1).reshape(n, d_b, rest, q_max, k)
+    u = np.ascontiguousarray(u.transpose(0, 3, 4, 1, 2), dtype=complex)
+    u_rows = u.reshape(n, q_max, k * dim_b)
+    u_marg = (u * (f / k)[:, None, None, None, None]).transpose(3, 0, 1, 2, 4).reshape(d_b, -1)
+    keep = np.arange(m) % q_max < q[:, None]  # block rows are (a, s), padded in s
+    keep = keep[:, :, None] & keep[:, None, :]
+
+    def marginal(x: np.ndarray) -> np.ndarray:  # sum_lam (f_lam/k) sum_j tr_{B - B_j}
+        t = (x.reshape(n, -1, q_max) @ u_rows).reshape(n, d_a, q_max, d_a, k, d_b, rest)
+        t = t.transpose(0, 2, 4, 6, 1, 3, 5).reshape(-1, d_a * d_a * d_b)
+        return (u_marg @ t).reshape(d_b, d_a, d_a, d_b).transpose(1, 0, 2, 3).reshape(ab_shape)
+
+    def correction(delta: np.ndarray) -> np.ndarray:  # blocks of sym(delta x I/d_B^{k-1})
+        g = delta.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 2, 3).reshape(d_b, -1)
+        g = (u.reshape(-1, d_b, rest).transpose(0, 2, 1) @ g).reshape(
+            n, q_max, k, rest, d_a, d_a, d_b).transpose(0, 1, 4, 5, 2, 6, 3)
+        h = g.reshape(n, q_max * d_a * d_a, k * dim_b) @ u_rows.transpose(0, 2, 1) / (k * rest)
+        return h.reshape(n, q_max, d_a, d_a, q_max).transpose(0, 2, 1, 3, 4).reshape(n, m, m)
 
     def project_affine(x: np.ndarray) -> np.ndarray:
-        y = _symmetrize_b(x, d_a, d_b, k)
-        need = rho.mat - partial_trace(y, dims_ext, [0, 1])
-        delta = _marginal_inverse(need, d_a, d_b, k)
-        return y + _symmetrize_b(tensor(delta, eye_rest), d_a, d_b, k)
+        return x + correction(_marginal_inverse(rho.mat - marginal(x), d_a, d_b, k))
 
-    def project_psd(x: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
-        vals = np.clip(vals, 0.0, None)
-        return (vecs * vals) @ vecs.conj().T
-
-    x = project_affine(tensor(rho.mat, eye_rest))
+    x = project_affine(correction(rho.mat))
     p_corr = np.zeros_like(x)
     history: list[float] = []
     residual = math.inf
     for it in range(1, max_iterations + 1):
-        y = project_psd(x + p_corr)
+        y = _project_psd_blocks(x + p_corr, keep)
         p_corr = x + p_corr - y
         x = project_affine(y)
-        residual = float(np.linalg.norm(y - x))
+        residual = math.sqrt(f @ np.linalg.norm((y - x).reshape(n, -1), axis=1) ** 2)
         history.append(residual)
         if residual <= eps_feasible:
-            ext = x  # satisfies the affine constraints by construction
-            lo = float(np.min(np.linalg.eigvalsh((ext + ext.conj().T) / 2)))
+            # x satisfies the affine constraints by construction
+            lo = float(np.min(np.linalg.eigvalsh((x + x.conj().transpose(0, 2, 1)) / 2)))
             if lo >= -1e-6:
-                return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, ext)
+                return FeasibilityReport(
+                    FeasStatus.FEASIBLE, residual, it, _blocks_to_operator(x, d_a, d_b, k))
         if it > plateau_window:
             old = history[-plateau_window - 1]
             if old > 0 and abs(old - residual) / old < plateau_rel:

@@ -134,6 +134,14 @@ def test_cli_chsh_deterministic(capsys):
     assert rep1["results"]["quantum"] == pytest.approx(q.QUANTUM_OPTIMUM, abs=1e-6)
 
 
+def test_cli_chsh_never_reports_a_negative_tsirelson_gap(capsys):
+    # seeds 2 and 3 land one ulp above the float bound
+    for seed in range(1, 9):
+        code, rep = run(capsys, ["--seed", str(seed), "chsh"])
+        assert code == 0
+        assert rep["results"]["tsirelson_gap"] >= 0.0
+
+
 def test_cli_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

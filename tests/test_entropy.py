@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,22 @@ def test_typical_set_monte_carlo_mode():
     assert rep.mass > 0.9  # far above the Chebyshev floor for these params
     rep2 = q.typical_set([0.11, 0.89], 1000, 0.05, mc_samples=4000, seed=3)
     assert rep.mass == rep2.mass  # seeded determinism
+
+
+@pytest.mark.parametrize("d,n_exact", [(2, 22), (3, 13), (4, 11)])
+def test_typical_set_path_switches_at_the_enumeration_cap(d, n_exact):
+    p = [1 / d] * d  # d^n strings: exact while d^n <= ENUMERATION_CAP, Monte Carlo beyond
+    exact = q.typical_set(p, n_exact, 0.1, mc_samples=10)
+    assert exact.mass_stderr is None and exact.log_size is not None
+    sampled = q.typical_set(p, n_exact + 1, 0.1, mc_samples=10)
+    assert sampled.mass_stderr is not None and sampled.log_size is None
+
+
+def test_typical_set_huge_n_takes_the_monte_carlo_path_at_once():
+    start = time.perf_counter()
+    rep = q.typical_set([0.3, 0.3, 0.4], 10**7, 0.1, mc_samples=10)
+    assert time.perf_counter() - start < 1.0  # 3**(10**7) alone takes seconds
+    assert rep.mass_stderr is not None
 
 
 def test_typical_subspace_projector():

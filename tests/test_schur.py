@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qilab as q
+from qilab.schur import _blocks_to_operator, _schur_weyl_basis
 from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
 from qilab.tensor import permutation_operator, swap_operator, tensor
-from tests_helpers_schur import spin_multiplicity_recursive
+from tests_helpers_schur import spin_multiplicity_recursive, symmetrize_b, to_schur_weyl_blocks
 
 RNG = np.random.default_rng(19)
 
@@ -296,3 +299,39 @@ def test_sampling_and_estimation():
     est = q.keyl_werner_estimate(js, n, r_true=r)
     assert abs(est.r_hat - r) < 0.02
     assert est.tail_bound is not None and 0 <= est.tail_bound <= 1
+
+
+# (d, k) with d^k <= 2048 and 2 <= d <= 8
+BASIS_SHAPES = [(d, k) for d in range(2, 9) for k in range(1, 12) if d**k <= 2048]
+
+
+@pytest.mark.parametrize("d,k", BASIS_SHAPES)
+def test_schur_weyl_basis_splits_the_tensor_power(d, k):
+    f, q_dims, w = _schur_weyl_basis(d, k)
+    if d >= k:  # every partition of k appears: sum_lam f_lam^2 = |S_k|
+        assert int(np.sum(f * f)) == math.factorial(k)
+    assert int(np.sum(f * q_dims)) == d**k
+    cols = np.hstack([w[l, :, :q_dims[l]] for l in range(len(f))])
+    assert np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))) <= 1e-13
+    for l, q_l in enumerate(q_dims):
+        assert not np.any(w[l, :, q_l:])  # padding columns
+
+
+# (d_a, d, k) with d_a d^k <= 64
+BLOCK_SHAPES = [(d_a, d, k) for d_a in (1, 2, 3) for d in (2, 3, 4) for k in range(1, 7)
+                if d_a * d**k <= 64]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BLOCK_SHAPES), st.integers(0, 2**32 - 1))
+def test_schur_weyl_blocks_reassemble_invariant_operators(shape, seed):
+    d_a, d, k = shape
+    rng = np.random.default_rng(seed)
+    dim = d_a * d**k
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    x = symmetrize_b((g + g.conj().T) / (2 * dim), d_a, d, k)
+    blocks = to_schur_weyl_blocks(x, d_a, d, k)
+    assert np.max(np.abs(_blocks_to_operator(blocks, d_a, d, k) - x)) <= 1e-12
+    f = _schur_weyl_basis(d, k)[0]
+    weighted = float(f @ np.sum(np.abs(blocks) ** 2, axis=(1, 2)))
+    assert weighted == pytest.approx(float(np.sum(np.abs(x) ** 2)), rel=1e-12)

@@ -9,8 +9,16 @@ import pytest
 
 import qilab as q
 import qilab.separability as sep
-from qilab.separability import FeasStatus, _marginal_inverse, _max_clique, _symmetrize_b
+from qilab.schur import _blocks_to_operator, _schur_weyl_basis
+from qilab.separability import (
+    FeasibilityReport,
+    FeasStatus,
+    _marginal_inverse,
+    _max_clique,
+    _project_psd_blocks,
+)
 from qilab.tensor import partial_trace, permutation_operator, tensor, trace_distance
+from tests_helpers_schur import symmetrize_b, to_schur_weyl_blocks
 
 RNG = np.random.default_rng(31)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -96,7 +104,7 @@ def test_symmetrize_b_is_the_average_over_all_b_permutations(d_a, d_b, k):
     perms = [tensor(np.eye(d_a), permutation_operator(d_b, perm))
              for perm in itertools.permutations(range(k))]
     expected = sum(p @ x @ p.conj().T for p in perms) / len(perms)
-    assert np.max(np.abs(_symmetrize_b(x, d_a, d_b, k) - expected)) <= 1e-12
+    assert np.max(np.abs(symmetrize_b(x, d_a, d_b, k) - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 3), (2, 3, 2), (3, 2, 4)])
@@ -109,7 +117,7 @@ def test_marginal_inverse_matches_pinv_of_probed_map(d_a, d_b, k):
     for col in range(d_ab * d_ab):
         e = np.zeros(d_ab * d_ab, dtype=complex)
         e[col] = 1.0
-        big = _symmetrize_b(tensor(e.reshape(d_ab, d_ab), eye_rest), d_a, d_b, k)
+        big = symmetrize_b(tensor(e.reshape(d_ab, d_ab), eye_rest), d_a, d_b, k)
         images[:, col] = partial_trace(big, dims, [0, 1]).reshape(-1)
     l_inv = np.linalg.pinv(images)
     for _ in range(3):
@@ -145,6 +153,103 @@ def test_k_extendibility_large_k_stays_small():
     assert rep.iterations == 2
     assert rep.status is FeasStatus.UNDETERMINED
     assert peak < 64 * 2**20
+
+
+def k_extendibility_full_space(rho, k, eps_feasible=1e-7, eps_gap=1e-4, max_iterations=5000,
+                               plateau_window=100, plateau_rel=1e-10):
+    """The Dykstra loop on the full d_A d_B^k operator, as the block solver's oracle."""
+    d_a, d_b = rho.dims
+    dims_ext = (d_a,) + (d_b,) * k
+    eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
+
+    def project_affine(x):
+        y = symmetrize_b(x, d_a, d_b, k)
+        delta = _marginal_inverse(rho.mat - partial_trace(y, dims_ext, [0, 1]), d_a, d_b, k)
+        return y + symmetrize_b(tensor(delta, eye_rest), d_a, d_b, k)
+
+    def project_psd(x):
+        vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
+        return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+
+    x = project_affine(tensor(rho.mat, eye_rest))
+    p_corr = np.zeros_like(x)
+    history = []
+    for it in range(1, max_iterations + 1):
+        y = project_psd(x + p_corr)
+        p_corr = x + p_corr - y
+        x = project_affine(y)
+        residual = float(np.linalg.norm(y - x))
+        history.append(residual)
+        if residual <= eps_feasible and np.min(np.linalg.eigvalsh((x + x.conj().T) / 2)) >= -1e-6:
+            return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x)
+        if it > plateau_window:
+            old = history[-plateau_window - 1]
+            if old > 0 and abs(old - residual) / old < plateau_rel:
+                if residual > eps_gap:
+                    return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None)
+                break
+    return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
+
+
+def extension_inputs(d_a, d_b):
+    """Maximally entangled, noisy maximally entangled and separable states on C^d_a x C^d_b."""
+    r = min(d_a, d_b)
+    v = np.zeros(d_a * d_b)
+    v[[i * d_b + i for i in range(r)]] = 1 / math.sqrt(r)
+    phi = np.outer(v, v)
+    sep_state = q.random_separable_state(d_a, d_b, np.random.default_rng(d_a * 10 + d_b))
+    return [phi, 0.5 * phi + 0.5 * np.eye(d_a * d_b) / (d_a * d_b),
+            0.8 * sep_state.mat + 0.2 * np.eye(d_a * d_b) / (d_a * d_b)]
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 2),
+                                       (2, 3, 3), (3, 2, 4), (2, 4, 2), (3, 3, 2)])
+def test_k_extendibility_matches_full_space_loop(d_a, d_b, k):
+    for mat in extension_inputs(d_a, d_b):
+        rho = q.DensityMatrix(mat, (d_a, d_b))
+        got, want = q.k_extendibility(rho, k), k_extendibility_full_space(rho, k)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert abs(got.residual - want.residual) <= 1e-12 + 1e-9 * want.residual
+        if want.extension is None:
+            assert got.extension is None
+        else:
+            assert np.max(np.abs(got.extension - want.extension)) <= 1e-10
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 7), (1, 2, 9), (2, 3, 4), (1, 4, 4), (2, 5, 2)])
+def test_block_psd_step_matches_full_eigh_projection(d_a, d_b, k):
+    dim = d_a * d_b**k
+    f, q_dims, w = _schur_weyl_basis(d_b, k)
+    q_max = w.shape[2]
+    keep = np.arange(d_a * q_max) % q_max < q_dims[:, None]
+    keep = keep[:, :, None] & keep[:, None, :]
+    for _ in range(2):
+        g = random_operator(dim)
+        x = symmetrize_b((g + g.conj().T) / (2 * dim), d_a, d_b, k)
+        y = _project_psd_blocks(to_schur_weyl_blocks(x, d_a, d_b, k), keep)
+        assert not np.any(y[~keep])  # the padding stays exactly zero
+        vals, vecs = np.linalg.eigh(x)
+        full = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+        assert np.max(np.abs(_blocks_to_operator(y, d_a, d_b, k) - full)) <= 1e-12
+
+
+# tracemalloc peaks of the full-space loop with max_iterations=2, in MB
+FULL_SPACE_PEAK_MB = {(2, 16, 2): 32.0, (2, 2, 9): 128.5, (2, 3, 5): 28.9}
+
+
+@pytest.mark.parametrize("d_a,d_b,k", sorted(FULL_SPACE_PEAK_MB))
+def test_k_extendibility_peak_memory_from_a_cold_cache(d_a, d_b, k):
+    rho = q.random_density_matrix(d_a * d_b, np.random.default_rng(0))
+    rho = q.DensityMatrix(rho.mat, (d_a, d_b))
+    _schur_weyl_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = q.k_extendibility(rho, k, max_iterations=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 2
+    assert peak <= FULL_SPACE_PEAK_MB[d_a, d_b, k] * 2**20
 
 
 def test_k_extendibility_input_validation():

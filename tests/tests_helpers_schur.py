@@ -1,4 +1,7 @@
 """Independent cross-checks for qilab.schur, shared across test modules."""
+import numpy as np
+
+from qilab.schur import _permutation_average, _schur_weyl_basis
 
 
 def spin_multiplicity_recursive(n: int, j: float) -> int:
@@ -10,3 +13,19 @@ def spin_multiplicity_recursive(n: int, j: float) -> int:
             new[jv] = table.get(jv + 0.5, 0) + (table.get(jv - 0.5, 0) if jv > 0 else 0)
         table = new
     return table.get(float(j), 0)
+
+
+def to_schur_weyl_blocks(x, d_a: int, d: int, k: int):
+    """Zero-padded stack of the blocks X_lam = (I x W_lam)^T x (I x W_lam) of an
+    operator x on C^{d_a} x (C^d)^{x k}, in the basis of ``_schur_weyl_basis``."""
+    _, _, w = _schur_weyl_basis(d, k)
+    n, dim, q_max = w.shape
+    t = x.reshape(d_a, dim, d_a, dim)
+    blocks = np.einsum("lbs,abAc,lct->lasAt", w, t, w, optimize=True)
+    return blocks.reshape(n, d_a * q_max, d_a * q_max)
+
+
+def symmetrize_b(x, d_a: int, d: int, k: int):
+    """Average of P x P^dag over every permutation P of the k factors C^d."""
+    t = x.reshape(((d_a,) + (d,) * k) * 2)
+    return _permutation_average(t, [(1 + i, k + 2 + i) for i in range(k)]).reshape(x.shape)
