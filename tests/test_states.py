@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qilab as q
 from qilab.tensor import partial_trace, swap_operator, tensor
@@ -22,6 +24,71 @@ def test_density_matrix_validation():
     for dims in ((-2, -2), (-1, -4)):  # the product matches the size
         with pytest.raises(ValueError, match="positive"):
             q.DensityMatrix(np.eye(4) / 4, dims=dims)
+
+
+def state_with_spectrum(d: int, lam_min: float, rng: np.random.Generator,
+                        zeros: int = 0) -> np.ndarray:
+    """U diag(lam_min, 0 (x zeros), rest) U^dag with a seeded unitary and unit trace."""
+    rest = rng.dirichlet(np.ones(d - 1 - zeros)) * (1.0 - lam_min)
+    spectrum = np.concatenate(([lam_min], np.zeros(zeros), rest))
+    u = q.random_unitary(d, rng)
+    return (u * spectrum) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 64, 256])
+def test_psd_decision_boundary(d, monkeypatch):
+    """Accepted exactly when lambda_min >= -1e-9; only a rejection computes the spectrum."""
+    rng = np.random.default_rng(d)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(q.states.np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    for lam_min in (-5e-9, -1.01e-9, -0.99e-9, -0.5e-9, 0.0, 1e-12):
+        m = state_with_spectrum(d, lam_min, rng)
+        calls.clear()
+        if lam_min >= -1e-9:
+            q.DensityMatrix(m)
+            assert not calls
+        else:
+            with pytest.raises(ValueError, match="matrix has negative eigenvalue -"):
+                q.DensityMatrix(m)
+
+
+def test_valid_inputs_are_accepted_without_a_spectrum(monkeypatch):
+    """Only a rejection runs eigvalsh; the shifted Cholesky accepts rank-deficient inputs."""
+    rng = np.random.default_rng(3)
+    full_rank = q.random_density_matrix(16, rng).mat
+    pure = [q.random_pure_state((2,) * n, rng).amps for n in range(1, 9)]
+    povm = qutrit_povm().elements
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+    monkeypatch.setattr(q.states.np.linalg, "eigvalsh", no_spectrum)
+    with pytest.raises(AssertionError, match="eigvalsh called"):  # the patch is seen
+        q.DensityMatrix(np.diag([1.5, -0.5]))
+    q.DensityMatrix(full_rank)
+    for amps in pure:
+        psi = q.PureState(amps)
+        rho = psi.density()
+        psi.marginal([0])
+        rho.marginal([0])
+    q.Povm(povm)
+    q.tetrahedron_povm()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 2**32 - 1), st.integers(0, 30),
+       st.one_of(st.floats(-3e-9, 1e-9), st.floats(-0.5, 0.5)))
+def test_psd_check_agrees_with_eigvalsh(d, seed, zeros, lam_min):
+    m = state_with_spectrum(d, lam_min, np.random.default_rng(seed), min(zeros, d - 2))
+    lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+    assume(abs(lo + 1e-9) >= 1e-12)
+    try:
+        q.DensityMatrix(m)
+        accepted = True
+    except ValueError as exc:
+        assert "negative eigenvalue" in str(exc)
+        accepted = False
+    assert accepted == (lo >= -1e-9)
 
 
 def test_pure_state_validation():
@@ -187,5 +254,11 @@ def test_random_unitary_and_separable_sampler():
 def test_kraus_channel_validation():
     with pytest.raises(ValueError):
         q.KrausChannel((np.eye(2) * 0.5,))
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in (np.array([[bad, 0], [0, 1]]), np.array([[1, bad], [0, 1]])):
+            with pytest.raises(ValueError):
+                q.KrausChannel((k,))
+        with pytest.raises(ValueError):
+            q.KrausChannel((np.eye(2) / math.sqrt(2), np.full((2, 2), bad)))
     with pytest.raises(ValueError):
         q.Povm((np.eye(2) * 0.5,))
