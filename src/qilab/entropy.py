@@ -16,6 +16,7 @@ from .tensor import _checked_power, basis_digits, hermitian_eig
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
+MC_BATCH = 4096  # rows per multinomial draw in typical_set: bounded memory, the per-sample stream
 
 
 def _checked_distribution(p: Sequence[float], tol: float = 1e-9) -> np.ndarray:
@@ -188,44 +189,46 @@ def typical_set(p: Sequence[float], n: int, delta: float,
                 mc_samples: int = 20000, seed: int = 0) -> TypicalSetReport:
     """The set of n-strings with empirical log-likelihood within delta of H(p).
 
-    A string x^n is typical when |-(1/n) log2 p(x^n) - H(p)| <= delta.  For
-    alphabets with d^n below the enumeration cap the mass and size are exact
-    (computed per type class); otherwise the mass is Monte Carlo estimated.
+    A string x^n is typical when |-(1/n) log2 p(x^n) - H(p)| <= delta, which
+    one predicate decides from its counts.  For alphabets with d^n below the
+    enumeration cap the mass and size are exact (over all type classes);
+    otherwise the mass is the typical share of ``mc_samples`` draws.
     """
     p = _checked_distribution(p)
-    if delta <= 0 or n < 1:
-        raise ValueError("need delta > 0 and n >= 1")
+    if delta <= 0 or n < 1 or mc_samples < 1:
+        raise ValueError("need delta > 0, n >= 1 and mc_samples >= 1")
     d = len(p)
     h = shannon_entropy(p)
     logs = np.array([-math.log2(x) if x > 0 else math.inf for x in p])
 
-    def is_typical(xs: Sequence[int]) -> bool:
-        if len(xs) != n:
-            raise ValueError(f"string length {len(xs)} != {n}")
-        ll = sum(logs[x] for x in xs)
-        return abs(ll / n - h) <= delta
+    def typical(counts: np.ndarray) -> np.ndarray:  # counts along the last axis
+        ll = np.zeros(counts.shape[:-1])
+        for i in range(d):  # in symbol order; a zero count adds nothing, so 0 * inf is never formed
+            c = counts[..., i]
+            ll += np.multiply(c, logs[i], out=np.zeros(ll.shape), where=c > 0)
+        return np.abs(ll / n - h) <= delta
 
-    def type_typical(counts) -> bool:
-        ll = sum(c * logs[i] for i, c in enumerate(counts) if c)
-        return abs(ll / n - h) <= delta
+    def is_typical(xs: Sequence[int]) -> bool:
+        xs = np.asarray(xs)
+        ok = np.issubdtype(xs.dtype, np.integer) and np.all((xs >= 0) & (xs < d))
+        if xs.shape != (n,) or not ok:
+            raise ValueError(f"expected a string of {n} integer symbols in 0..{d - 1}")
+        return bool(typical(np.bincount(xs, minlength=d)))
 
     # n is bounded before d**n is formed, as in tensor._checked_power
     if (d < 2 or n <= ENUMERATION_CAP.bit_length()) and d**n <= ENUMERATION_CAP:
-        size = 0
-        mass = 0.0
-        for t, cnt in _iter_types(n, d):
-            if type_typical(t):  # a count on a zero-probability symbol makes ll infinite
-                size += cnt
-                mass += cnt * math.prod(p[i] ** t[i] for i in range(d) if t[i])
+        types, sizes = (np.array(a) for a in zip(*_iter_types(n, d)))
+        hit = typical(types)  # a count on a zero-probability symbol makes ll infinite
+        # scalar powers, as np.power on arrays may round differently; summed in type order
+        probs = [math.prod(x**c for x, c in zip(p, t)) for t in types[hit]]
+        mass = float(np.cumsum(sizes[hit] * probs)[-1]) if probs else 0.0
+        size = int(sizes[hit].sum())
         log_size = _log2_bigint(size) if size else -math.inf
         return TypicalSetReport(n, delta, h, n * (h + delta), mass, None, log_size, is_typical)
 
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(mc_samples):
-        counts = rng.multinomial(n, p)
-        if type_typical(counts):
-            hits += 1
+    hits = sum(int(typical(rng.multinomial(n, p, size=min(MC_BATCH, mc_samples - s))).sum())
+               for s in range(0, mc_samples, MC_BATCH))
     mass = hits / mc_samples
     stderr = math.sqrt(max(mass * (1 - mass), 1e-12) / mc_samples)
     return TypicalSetReport(n, delta, h, n * (h + delta), mass, stderr, None, is_typical)
@@ -292,6 +295,8 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
     """
     p = _checked_distribution(p)
     d = len(p)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if d > 4:
         raise ValueError("compression simulation supports small alphabets (d <= 4)")
     if n < 1:

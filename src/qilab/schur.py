@@ -237,13 +237,14 @@ class SpinBlock:
     projector: np.ndarray
 
 
-def spin_projectors(n: int, tol: float = 1e-7) -> list[SpinBlock]:
+def spin_projectors(n: int) -> list[SpinBlock]:
     """Total-spin projectors on n qubits from the spectrum of J^2.
 
     J^2 = n(4 - n)/4 I + sum_{i<k} SWAP_ik is real and conserves the Hamming
     weight, so it is diagonalized one weight sector (of size C(n, w)) at a
-    time.  Eigenvalues are clustered to j(j+1) within ``tol``; each block has
-    dimension (2j + 1) m_j.
+    time.  An eigenvalue j(j+1) names its block by 2j = sqrt(1 + 4 j(j+1)) - 1,
+    rounded: the j(j+1) lie at least 2 apart, so every eigenvector lands in a
+    block, of dimension (2j + 1) m_j.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -255,7 +256,7 @@ def spin_projectors(n: int, tol: float = 1e-7) -> list[SpinBlock]:
     swaps = np.array([np.arange(dim) + (digits[k] - digits[i]) * (place[i] - place[k])
                       for i, k in itertools.combinations(range(n), 2)],
                      dtype=np.intp).reshape(-1, dim)
-    projs: dict[float, np.ndarray] = {}
+    projs: dict[int, np.ndarray] = {}  # keyed by 2j
     for w in range(n + 1):
         idx = np.flatnonzero(weight == w)
         size = idx.size
@@ -263,16 +264,14 @@ def spin_projectors(n: int, tol: float = 1e-7) -> list[SpinBlock]:
         j2 = np.zeros((size, size))
         np.add.at(j2, (np.searchsorted(idx, swaps[:, idx]), np.arange(size)), 1.0)
         vals, vecs = np.linalg.eigh(j2)
-        vals += n * (4 - n) / 4
-        for j in _j_values(n):
-            sel = np.abs(vals - j * (j + 1)) < tol
-            if np.any(sel):
-                v = vecs[:, sel]
-                if j not in projs:
-                    projs[j] = np.zeros((dim, dim), dtype=complex)
-                projs[j][np.ix_(idx, idx)] = v @ v.T
-    return [SpinBlock(j, spin_multiplicity(n, j), projs[j])
-            for j in _j_values(n) if j in projs]
+        two_j = np.rint(np.sqrt(1 + 4 * (vals + n * (4 - n) / 4)) - 1).astype(int)
+        for t in np.unique(two_j).tolist():
+            v = vecs[:, two_j == t]
+            if t not in projs:
+                projs[t] = np.zeros((dim, dim), dtype=complex)
+            projs[t][np.ix_(idx, idx)] = v @ v.T
+    return [SpinBlock(t / 2, spin_multiplicity(n, t / 2), projs[t])
+            for t in sorted(projs, reverse=True)]
 
 
 def spectrum_estimation_distribution(r: float, n: int) -> dict[float, float]:

@@ -65,7 +65,8 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     """Trace out every subsystem not listed in ``keep``.
 
     ``keep`` is a collection of subsystem indices into ``dims``; the result
-    carries the kept subsystems in their original relative order.
+    carries the kept subsystems in their original relative order.  One einsum
+    does it: a traced subsystem repeats its row label on its column axis.
     """
     m = _as_matrix(m)
     dims = _check_dims(m.shape[0], dims)
@@ -73,12 +74,12 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise IndexError(f"keep indices {keep} out of range for {n} subsystems")
-    t = m.reshape(dims + dims)
-    # Contract traced-out pairs one at a time, from the right.
-    traced = [i for i in range(n) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    dkeep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    if n + len(keep) > 52:
+        raise ValueError(f"{n} subsystems keeping {len(keep)} need more than np.einsum's 52 labels")
+    # label i on row axis i and on a traced column axis, n + k on kept column axis k
+    cols = [n + i if i in keep else i for i in range(n)]
+    t = np.einsum(m.reshape(dims + dims), list(range(n)) + cols, keep + [n + k for k in keep])
+    dkeep = int(np.prod([dims[k] for k in keep]))
     return t.reshape(dkeep, dkeep)
 
 

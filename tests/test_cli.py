@@ -190,6 +190,8 @@ def test_cli_text_format(tmp_path, capsys):
     ["ppt", "--state", "{phi}", "--cut", "3"],  # IndexError inside the library
     ["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5", "--trials", "5"],
     ["ppt", "--state", "{big}"],  # a 2^17-amplitude pure state: its density is over the cap
+    ["compress", "--p0", "0.9", "--n", "10", "--rate", "0.5", "--trials", "0"],
+    ["compress", "--p0", "0.9", "--n", "10", "--rate", "0.5", "--trials", "-3"],
 ])
 def test_cli_library_errors_exit_1_without_traceback(tmp_path, argv):
     phi = write_density(tmp_path, q.phi_plus().density())

@@ -4,9 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qilab as q
-from qilab.entropy import _iter_types
+from qilab.entropy import MC_BATCH, _iter_types
 
 RNG = np.random.default_rng(11)
 
@@ -122,6 +124,10 @@ def test_typical_set_exact_against_brute_force(p, n, delta):
         prob = math.prod(p[x] for x in xs)
         want = prob > 0 and abs(-math.log2(prob) / n - q.shannon_entropy(p)) <= delta
         assert rep.is_typical(xs) == want
+    # symbols outside 0..d-1 (a -1 must not wrap around), non-integers and wrong lengths are refused
+    for bad in ([-1] * n, [len(p)] * n, [0.0] * n, [0] * (n - 1)):
+        with pytest.raises(ValueError):
+            rep.is_typical(bad)
 
 
 def test_typical_set_uniform_is_everything():
@@ -143,6 +149,53 @@ def test_typical_set_monte_carlo_mode():
     assert rep.mass > 0.9  # far above the Chebyshev floor for these params
     rep2 = q.typical_set([0.11, 0.89], 1000, 0.05, mc_samples=4000, seed=3)
     assert rep.mass == rep2.mass  # seeded determinism
+
+
+def direct_typicality(p, xs, delta):
+    """|-(1/n) log2 p(xs) - H(p)|, summed over the string in order, and its verdict."""
+    ll = sum(-math.log2(p[x]) if p[x] > 0 else math.inf for x in xs)
+    gap = abs(ll / len(xs) - q.shannon_entropy(p))
+    return gap, gap <= delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=1, max_size=3)
+       .filter(lambda w: sum(w) > 0),
+       st.integers(1, 6), st.floats(0.01, 1.0))
+def test_typicality_predicate_matches_direct_sum_over_each_string(w, n, delta):
+    p = [x / sum(w) for x in w]
+    rep = q.typical_set(p, n, delta)
+    strings = list(itertools.product(range(len(p)), repeat=n))
+    direct = [direct_typicality(p, xs, delta) for xs in strings]
+    # the two sums differ in order only; keep off the rounding boundary
+    assume(all(abs(gap - delta) > 1e-9 for gap, _ in direct))
+    assert [rep.is_typical(xs) for xs in strings] == [ok for _, ok in direct]
+    size = sum(ok for _, ok in direct)
+    mass = sum(math.prod(p[x] for x in xs) for xs, (_, ok) in zip(strings, direct) if ok)
+    assert rep.mass == pytest.approx(mass, abs=1e-12)
+    assert rep.log_size == (math.log2(size) if size else -math.inf)
+
+
+@pytest.mark.parametrize("p,n,seed", [
+    ((0.11, 0.89), 60, 0),
+    ((0.5, 0.3, 0.2), 40, 1),
+    ((0.6, 0.0, 0.3, 0.1), 30, 2),  # a zero-probability symbol is never drawn
+])
+def test_typical_set_monte_carlo_matches_per_sample_draws(p, n, seed):
+    samples = 2 * MC_BATCH + 7  # three batches
+    rep = q.typical_set(p, n, 0.1, mc_samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(samples):
+        xs = np.repeat(np.arange(len(p)), rng.multinomial(n, p))  # a string of the drawn type
+        hits += direct_typicality(p, xs, 0.1)[1]
+    assert rep.mass == hits / samples
+
+
+@pytest.mark.parametrize("mc_samples", [0, -5])
+def test_typical_set_rejects_no_samples(mc_samples):
+    with pytest.raises(ValueError, match="mc_samples"):
+        q.typical_set([0.8, 0.2], 40, 0.1, mc_samples=mc_samples)
 
 
 @pytest.mark.parametrize("d,n_exact", [(2, 22), (3, 13), (4, 11)])
@@ -231,6 +284,12 @@ def test_compression_full_rate_always_succeeds():
 def test_compression_rejects_empty_block(n):
     with pytest.raises(ValueError):
         q.compression_trial([0.9, 0.1], n, 0.5, trials=5)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_compression_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        q.compression_trial([0.9, 0.1], 10, 0.5, trials=trials)
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.5])

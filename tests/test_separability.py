@@ -266,6 +266,26 @@ def test_slater_state_marginal_is_antisymmetric_state(d):
     assert np.max(np.abs(marg - q.werner_antisymmetric(d).mat)) < 1e-12
 
 
+def slater_amplitudes_by_loop(d):
+    """Oracle: sign by counting inversions pair by pair, index digit by digit."""
+    amps = np.zeros(d**d, dtype=complex)
+    for perm in itertools.permutations(range(d)):
+        idx = 0
+        for p in perm:
+            idx = idx * d + p
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        amps[idx] = (-1) ** inversions
+    amps /= math.sqrt(math.factorial(d))
+    return amps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_slater_state_matches_loop_oracle(d):
+    psi = q.slater_state(d)
+    assert psi.dims == (d,) * d
+    assert psi.amps.tobytes() == slater_amplitudes_by_loop(d).tobytes()  # bit for bit
+
+
 def test_antisymmetric_pair_is_two_extendible_via_slater():
     # rho_anti x rho_anti on (C3 x C3) admits the explicit 2-extension built
     # from two copies of the Slater state, pairing copies across parties.
@@ -356,6 +376,12 @@ def test_h_sep_sampled_is_lower_bound():
         assert lo <= q.h_n_ext(m, (2, 2), 3) + 1e-8
 
 
+@pytest.mark.parametrize("starts", [0, -2])
+def test_h_sep_sampled_rejects_no_starts(starts):
+    with pytest.raises(ValueError, match="starts"):
+        q.h_sep_sampled(np.eye(4), (2, 2), starts=starts)
+
+
 GRAPHS = [
     (3, [(0, 1), (1, 2), (0, 2)], 3),          # triangle
     (3, [(0, 1), (1, 2)], 2),                  # path
@@ -444,3 +470,23 @@ def test_bcy_inequality_check():
         out = q.bcy_inequality_check(q.phi_plus().density(), m, k, samples=100, seed=k)
         assert out["holds"]
         assert out["rhs"] == pytest.approx(math.sqrt(2 * math.log(2) / k))
+
+
+def test_bcy_biases_match_per_sample_density_loop():
+    rho = q.random_density_matrix((2, 3), RNG)
+    g = RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6))
+    m = g @ g.conj().T
+    m /= np.linalg.eigvalsh(m)[-1]  # 0 <= M <= I
+    out = q.bcy_inequality_check(rho, m, 3, samples=50, seed=9)
+    rng = np.random.default_rng(9)  # the same stream: a, then b, per sample
+    best = math.inf
+    for _ in range(50):
+        v = np.kron(q.random_pure_state(2, rng).amps, q.random_pure_state(3, rng).amps)
+        best = min(best, abs(float(np.trace(m @ (rho.mat - np.outer(v, v.conj()))).real)))
+    assert out["lhs"] == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_bcy_inequality_check_rejects_no_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        q.bcy_inequality_check(q.phi_plus().density(), np.eye(4), 2, samples=samples)

@@ -260,5 +260,9 @@ def test_kraus_channel_validation():
                 q.KrausChannel((k,))
         with pytest.raises(ValueError):
             q.KrausChannel((np.eye(2) / math.sqrt(2), np.full((2, 2), bad)))
+    # K^dag K overflows to inf, and to inf - inf off the diagonal: rejected without a warning
+    for k in (np.array([[1e200, 0], [0, 1]]), np.array([[1e200, 1e200], [1e200, -1e200]])):
+        with pytest.raises(ValueError):
+            q.KrausChannel((k,))
     with pytest.raises(ValueError):
         q.Povm((np.eye(2) * 0.5,))

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qilab as q
 from qilab.tensor import (
@@ -40,16 +42,41 @@ def test_partial_trace_of_product_factors():
     assert np.allclose(partial_trace(m, (2, 3), [1]), b * np.trace(a))
 
 
+def partial_trace_by_loop(m, dims, keep):
+    """Oracle: trace out the subsystems not in ``keep`` one np.trace at a time, from the right."""
+    dims = tuple(dims)
+    t = m.reshape(dims + dims)
+    for i in reversed([i for i in range(len(dims)) if i not in keep]):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    dkeep = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(dkeep, dkeep)
+
+
 def test_partial_trace_preserves_trace_and_einsum_oracle():
     dims = (2, 3, 2)
     m = random_hermitian(12)
-    for keep in ([0], [1], [2], [0, 2], [1, 2]):
+    for keep in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]):
         sub = partial_trace(m, dims, keep)
         assert abs(np.trace(sub) - np.trace(m)) < 1e-12
+        assert np.max(np.abs(sub - partial_trace_by_loop(m, dims, keep))) < 1e-12
     # independent einsum oracle for keep = [0, 2]
     t = m.reshape(2, 3, 2, 2, 3, 2)
     oracle = np.einsum("ajbAjB->abAB", t).reshape(4, 4)
     assert np.allclose(partial_trace(m, dims, [0, 2]), oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.data())
+def test_partial_trace_matches_loop_oracle(dims, data):
+    dim = int(np.prod(dims))
+    keep = data.draw(st.sets(st.integers(0, len(dims) - 1)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    want = partial_trace_by_loop(m, dims, sorted(keep))
+    got = partial_trace(m, dims, keep)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_partial_transpose_involution_and_product():
@@ -160,6 +187,10 @@ def test_bad_inputs():
         partial_trace(np.eye(6), (2, 2), [0])
     with pytest.raises(IndexError):
         partial_trace(np.eye(6), (2, 3), [5])
+    # one einsum label per subsystem and per kept subsystem: 52 fit, 53 do not
+    assert partial_trace(np.eye(1), (1,) * 30, range(22)).shape == (1, 1)
+    with pytest.raises(ValueError, match="52 labels"):
+        partial_trace(np.eye(1), (1,) * 30, range(23))
     with pytest.raises(IndexError):
         partial_transpose(np.eye(6), (2, 3), 2)
     with pytest.raises(ValueError):
