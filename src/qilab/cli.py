@@ -144,8 +144,10 @@ def _cmd_teleport(args) -> tuple[dict, int]:
 def _cmd_compress(args) -> tuple[dict, int]:
     if not 0.0 < args.p0 < 1.0:
         raise FormatError("p0 must lie strictly inside (0, 1)")
-    if args.n > 20000:  # compression_trial itself refuses n < 1
+    if args.n > 20000:  # compression_trial itself refuses n < 1 and trials < 1
         raise FormatError("n must lie in 1..20000")
+    if args.trials > 100000:
+        raise FormatError("trials must lie in 1..100000")
     rep = entropy_mod.compression_trial(
         [args.p0, 1 - args.p0], args.n, args.rate, args.trials, seed=args.seed)
     return {
@@ -176,6 +178,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
 
 
 def _cmd_definetti(args) -> tuple[dict, int]:
+    if max(args.d, args.n, args.k) > 10000:  # estimation_overlap itself refuses d, n < 1, k < 0
+        raise FormatError("d, n and k must be at most 10000")
     overlap = schur_mod.estimation_overlap(args.d, args.n, args.k)
     return {
         "overlap": overlap,
@@ -219,7 +223,7 @@ def _cmd_motzkin(args) -> tuple[dict, int]:
             edges.append((int(i), int(j)))
     except ValueError as exc:
         raise FormatError(f"bad edge list: {exc}") from exc
-    rep = sep_mod.motzkin_straus(args.n, edges, seed=args.seed)
+    rep = sep_mod.motzkin_straus(args.n, edges)
     return {
         "clique_number": rep.clique_number,
         "optimization_value": rep.optimization_value,
@@ -311,8 +315,6 @@ def _emit(report: dict, fmt: str) -> None:
         if isinstance(obj, dict):
             for k in sorted(obj):
                 walk(f"{prefix}{k}.", obj[k])
-        elif isinstance(obj, list):
-            sys.stdout.write(f"{prefix[:-1]} = {obj}\n")
         else:
             sys.stdout.write(f"{prefix[:-1]} = {obj}\n")
     walk("", report)

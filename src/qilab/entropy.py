@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import _checked_power, basis_digits, hermitian_eig
+from .tensor import _checked_power, basis_digits, hermitian_eig, trace_norm
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -76,6 +76,7 @@ def classical_mutual_information(pxy: np.ndarray) -> float:
 def classical_pinsker_bound(pxy: np.ndarray) -> float:
     """(1/(2 ln 2)) * (l1 distance from the product of marginals)^2."""
     pxy = np.asarray(pxy, dtype=float)
+    _checked_distribution(pxy.reshape(-1))
     prod = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
     l1 = float(np.sum(np.abs(pxy - prod)))
     return l1 * l1 / (2 * LN2)
@@ -131,15 +132,12 @@ def information_measures(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -
 def quantum_pinsker_bound(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -> float:
     """(1/(2 ln 2)) ||rho_AB - rho_A x rho_B||_1^2 for a bipartite split."""
     a, b = (tuple(g) for g in parties)
-    ra = rho.marginal(a).mat
-    rb = rho.marginal(b).mat
     keep = sorted(a + b)
-    rab = rho.mat if len(keep) == len(rho.dims) else rho.marginal(keep).mat
     # order A before B to match the product
-    if tuple(sorted(a + b)) != tuple(a) + tuple(b):
+    if tuple(keep) != a + b:
         raise ValueError("parties must be sorted with A before B")
-    diff = rab - np.kron(ra, rb)
-    l1 = float(np.sum(np.abs(np.linalg.svd(diff, compute_uv=False))))
+    rab = rho.mat if len(keep) == len(rho.dims) else rho.marginal(keep).mat
+    l1 = trace_norm(rab - np.kron(rho.marginal(a).mat, rho.marginal(b).mat))
     return l1 * l1 / (2 * LN2)
 
 
@@ -195,7 +193,7 @@ def typical_set(p: Sequence[float], n: int, delta: float,
     otherwise the mass is the typical share of ``mc_samples`` draws.
     """
     p = _checked_distribution(p)
-    if delta <= 0 or n < 1 or mc_samples < 1:
+    if not delta > 0 or n < 1 or mc_samples < 1:  # also rejects a NaN delta
         raise ValueError("need delta > 0, n >= 1 and mc_samples >= 1")
     d = len(p)
     h = shannon_entropy(p)
@@ -255,6 +253,8 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     """
     if n < 1:
         raise ValueError("block length n must be at least 1")
+    if not delta > 0:  # also rejects NaN
+        raise ValueError("need delta > 0")
     d = rho.dim
     _checked_power(d, n)
     eig = hermitian_eig(rho.mat)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .entropy import binary_relative_entropy
 from .states import DensityMatrix, PureState
-from .tensor import _check_size, _checked_power, basis_digits, hermitian_eig
+from .tensor import _check_size, _checked_power, _psd_sqrt, basis_digits
 
 
 def symmetric_dimension(d: int, n: int) -> int:
@@ -78,10 +78,7 @@ def symmetric_purification(rho: DensityMatrix, tol: float = 1e-8) -> PureState:
     for i in range(n - 1):
         if np.max(np.abs(t.swapaxes(i, i + 1).swapaxes(n + i, n + i + 1) - t)) > tol:
             raise ValueError("state is not permutation invariant")
-    eig = hermitian_eig(rho.mat)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    root = (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
-    amps = root.reshape(-1)  # (sqrt(rho) x I)|Gamma> in row-major layout
+    amps = _psd_sqrt(rho.mat).reshape(-1)  # (sqrt(rho) x I)|Gamma> in row-major layout
     return PureState(amps / np.linalg.norm(amps), dims + dims)
 
 
@@ -286,6 +283,8 @@ def spectrum_estimation_distribution(r: float, n: int) -> dict[float, float]:
     """
     if not 0.0 <= r <= 0.5:
         raise ValueError("r must lie in [0, 1/2]")
+    if n < 0:
+        raise ValueError("need n >= 0")
     if r == 0.5:  # q = 0: all weight on j = n/2, whose multiplicity is 1
         return {j: float(j == n / 2) for j in _j_values(n)}
     p, q = 0.5 + r, 0.5 - r
@@ -346,6 +345,8 @@ def keyl_werner_estimate(outcomes: Sequence[float], n: int,
     js = np.asarray(outcomes, dtype=float)
     if js.size == 0:
         raise ValueError("need at least one outcome")
+    if n < 1:
+        raise ValueError("need n >= 1")
     r_hat = float(js.mean() / n)
     dev = bound = None
     if r_true is not None:

@@ -226,12 +226,6 @@ def data_hiding_bias(d: int) -> DataHidingReport:
     return DataHidingReport(d, 1.0, ppt_bias)
 
 
-def data_hiding_bound_matrix(d: int) -> np.ndarray:
-    """The bound operator I/(d(d^2-1)) - Phi+/(d^2-1), materialized."""
-    phi = phi_plus(d).density().mat
-    return np.eye(d * d) / (d * (d * d - 1)) - phi / (d * d - 1)
-
-
 def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
                          samples: int = 200, seed: int = 0) -> dict[str, float | bool]:
     """One-sided sanity check of the k-extendibility distance bound.
@@ -244,6 +238,8 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
         raise ValueError("state must be bipartite")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     d_a, d_b = rho.dims
     m = np.asarray(measurement, dtype=complex)
     rhs = math.sqrt(2 * math.log(2) * math.log2(d_a) / k)
@@ -362,20 +358,15 @@ def _max_clique(n: int, edges: set[tuple[int, int]]) -> tuple[int, set[int]]:
     return len(best), best
 
 
-def motzkin_straus(n: int, edges: Sequence[tuple[int, int]],
-                   starts: int = 50, iterations: int = 2000,
-                   seed: int = 0) -> MotzkinStrausReport:
+def motzkin_straus(n: int, edges: Sequence[tuple[int, int]]) -> MotzkinStrausReport:
     """Clique number vs the quadratic program 2 max sum_{(ij) in E} p_i p_j.
 
-    The optimum equals 1 - 1/w(G); the quadratic side is maximized by
-    replicator-dynamics ascent from random simplex starts plus the uniform
-    distribution on every maximum clique candidate.  All starts ascend
-    together as the rows of one (starts + 2) x n array.
+    The optimum equals 1 - 1/w(G) (Motzkin-Straus).  The clique number comes
+    from an exact search, and the quadratic value is the objective at its
+    certificate: p uniform on the maximum clique, which attains 1 - 1/w.
     """
     if n < 1 or n > 20:
         raise ValueError("vertex count must be in 1..20")
-    if starts < 0:
-        raise ValueError("starts must be non-negative")
     eset = set()
     for i, j in edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
@@ -385,19 +376,6 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]],
     adj = np.zeros((n, n))
     for i, j in eset:
         adj[i, j] = adj[j, i] = 1.0
-    rng = np.random.default_rng(seed)
-    uniform_clique = np.zeros(n)
-    uniform_clique[list(clique)] = 1.0 / len(clique)
-    # one row per start: the random simplex points, uniform, uniform on the clique
-    p = np.vstack([rng.dirichlet(np.ones(n), size=starts), np.full(n, 1.0 / n),
-                   uniform_clique])
-    for _ in range(iterations):
-        q = p * (p @ adj)
-        tot = q.sum(axis=1)
-        moving = tot >= 1e-15  # a row whose mass vanishes keeps its last point
-        if not moving.any():
-            break
-        np.divide(q, tot[:, None], out=p, where=moving[:, None])
-    best = max(0.0, float(np.max(np.einsum("si,si->s", p @ adj, p))))
-    return MotzkinStrausReport(w, best)
-
+    p = np.zeros(n)
+    p[list(clique)] = 1.0 / len(clique)
+    return MotzkinStrausReport(w, max(0.0, float(p @ adj @ p)))

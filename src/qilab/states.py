@@ -11,6 +11,7 @@ from .tensor import (
     _amplitude_matrix,
     _check_dims,
     _check_size,
+    _psd_sqrt,
     hermitian_eig,
     is_hermitian,
     partial_trace,
@@ -246,10 +247,7 @@ def naimark_dilate(povm: Povm) -> NaimarkDilation:
     d, m = povm.dim, len(povm)
     v = np.zeros((d * m, d), dtype=complex)
     for i, q in enumerate(povm.elements):
-        eig = hermitian_eig(q)
-        vals = np.clip(eig.eigenvalues, 0.0, None)
-        # rows of block i (ancilla value i) read sqrt(Q_i)
-        v[i::m, :] = (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
+        v[i::m, :] = _psd_sqrt(q)  # rows of block i (ancilla value i) read sqrt(Q_i)
     u = np.empty((d * m, d * m), dtype=complex)
     u[:, ::m] = v
     u[:, np.arange(d * m) % m != 0] = np.linalg.qr(v, mode="complete")[0][:, d:]

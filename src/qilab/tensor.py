@@ -144,6 +144,13 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigDecompositi
     return EigDecomposition(vals[order], vecs[:, order])
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian matrix, negative eigenvalues clipped to 0."""
+    eig = hermitian_eig(m)
+    vals = np.clip(eig.eigenvalues, 0.0, None)
+    return (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
+
+
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
     m = np.asarray(m, dtype=complex)

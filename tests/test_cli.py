@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qilab as q
 from qilab.cli import main
@@ -156,6 +160,10 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["compress", "--p0", "0.9", "--n", "0", "--rate", "0.5"]) == 1
     assert main(["compress", "--p0", "0.1", "--n", "10", "--rate", "nan"]) == 1
     assert main(["compress", "--p0", "0.1", "--n", "20001", "--rate", "0.5"]) == 1
+    assert main(["compress", "--p0", "0.1", "--n", "10", "--rate", "0.5", "--trials", "100001"]) == 1
+    for flag in ("--d", "--n", "--k"):
+        argv = {"--d": "2", "--n": "100", "--k": "5", flag: "10001"}
+        assert main(["definetti", *(a for kv in argv.items() for a in kv)]) == 1
     # checks that only the library makes
     ghz = write_density(tmp_path, q.ghz_state().density(), "ghz.json")
     bell = write_pure(tmp_path, q.phi_plus(), "bell.json")
@@ -192,6 +200,8 @@ def test_cli_text_format(tmp_path, capsys):
     ["ppt", "--state", "{big}"],  # a 2^17-amplitude pure state: its density is over the cap
     ["compress", "--p0", "0.9", "--n", "10", "--rate", "0.5", "--trials", "0"],
     ["compress", "--p0", "0.9", "--n", "10", "--rate", "0.5", "--trials", "-3"],
+    ["compress", "--p0", "0.9", "--n", "10", "--rate", "0.5", "--trials", "100001"],
+    ["definetti", "--d", "2", "--n", "200000", "--k", "1"],
 ])
 def test_cli_library_errors_exit_1_without_traceback(tmp_path, argv):
     phi = write_density(tmp_path, q.phi_plus().density())
@@ -206,3 +216,105 @@ def test_cli_library_errors_exit_1_without_traceback(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qi-cli: input error: ")
     assert "Traceback" not in proc.stderr
+
+
+# --- fuzzing: generated argv for every subcommand ----------------------------
+
+EDGE_INTEGERS = st.sampled_from(["nan", "inf", "-1", "0", "1e308", "1" + "0" * 30, str(-2**63),
+                                 "0x10", "1.5", "x", ""])
+EDGE_REALS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1e308", "1e308", "x"]),
+                       st.floats().map(repr))
+
+
+def integers(lo, hi):
+    """Integers in lo..hi, where every subcommand is cheap, and edge values."""
+    return st.integers(lo, hi).map(str), EDGE_INTEGERS
+
+
+def reals(lo, hi):
+    """Floats in lo..hi, and NaN, +-inf and any other float as edge values."""
+    return st.floats(lo, hi).map(repr), EDGE_REALS
+
+
+FUZZ_STATES = {
+    "phi": matrix_to_json(q.phi_plus().density().mat, (2, 2)),
+    "phi_pure": state_to_json(q.phi_plus()),
+    "ghz": state_to_json(q.ghz_state()),
+    "qubit": state_to_json(q.PureState(np.array([0.6, 0.8]))),
+    "qutrit": state_to_json(q.PureState(np.array([1.0, 0.0, 0.0]))),
+    "mixed3": matrix_to_json(q.maximally_mixed(8).mat, (2, 2, 2)),
+}
+FUZZ_BAD_FILES = {"list": "[1, 2]", "nan": '{"amps_re": [NaN, 1], "amps_im": [0, 0]}',
+                  "bad": "{not json", "empty": ""}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """State files named in argv as {dir}/<name>.json; missing.json is not written."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FUZZ_STATES.items():
+        (tmp / f"{name}.json").write_text(json.dumps(obj))
+    for name, text in FUZZ_BAD_FILES.items():
+        (tmp / f"{name}.json").write_text(text)
+    return tmp
+
+
+@st.composite
+def cli_argv(draw):
+    """A request whose options are drawn from cheap ranges, except that one
+    of them (or none) is given an edge value or left out."""
+    n = draw(st.integers(1, 20))  # motzkin: edges inside 0..n-1, or free text
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda e: f"{e[0]}-{e[1]}")
+    state = (st.sampled_from(sorted(FUZZ_STATES)).map("{{dir}}/{}.json".format),
+             st.sampled_from(sorted(FUZZ_BAD_FILES) + ["missing"]).map("{{dir}}/{}.json".format))
+    text = st.text(alphabet="0123456789-,/ x", max_size=16)
+    commands = {
+        "ppt": [("--state", state), ("--cut", integers(0, 1))],
+        "witness": [("--state", state), ("--witness", (st.sampled_from(["flip", "chsh"]), text))],
+        "extend": [("--state", state), ("--k", integers(2, 3))],
+        "chsh": [],
+        "classify3q": [("--state", state)],
+        "marginal3q": [("--a", reals(0.5, 1)), ("--b", reals(0.5, 1)), ("--c", reals(0.5, 1))],
+        "teleport": [("--state", state)],
+        "compress": [("--p0", reals(0.01, 0.99)), ("--n", integers(1, 200)),
+                     ("--rate", reals(0, 2)), ("--trials", integers(1, 50))],
+        "entropy": [("--state", state),
+                    ("--parties", (st.sampled_from(["0/1", "0/1/2", "0,1/2", "1/0"]), text))],
+        "definetti": [("--d", integers(1, 50)), ("--n", integers(1, 500)), ("--k", integers(0, 50))],
+        "spectrum": [("--r", reals(0, 0.5)), ("--n", integers(0, 64))],
+        "datahiding": [("--d", integers(2, 40))],
+        "motzkin": [("--n", (st.just(str(n)), EDGE_INTEGERS)),
+                    ("--edges", (st.lists(edge, max_size=40).map(",".join), text))],
+    }
+    command = draw(st.sampled_from(sorted(commands)))
+    options = [("--seed", integers(-5, 5))] + commands[command]
+    spoilt = draw(st.sampled_from([None] + [flag for flag, _ in options]))
+    argv = []
+    for flag, (good, edge) in options:
+        if flag != spoilt:
+            argv += [flag, draw(good)]
+        elif draw(st.sampled_from([True, True, True, False])):  # else the option is left out
+            argv += [flag, draw(edge)]
+        if flag == "--seed":
+            argv.append(command)
+    return argv
+
+
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=cli_argv())
+def test_cli_fuzz_exits_cleanly_with_strict_json(fuzz_dir, argv):
+    argv = [a.replace("{dir}", str(fuzz_dir)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+    else:
+        assert strict_json(out.getvalue())["command"] in argv

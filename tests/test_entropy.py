@@ -65,6 +65,9 @@ def test_classical_mutual_information_and_pinsker():
     # product distribution: both sides vanish
     prod = np.outer([0.3, 0.7], [0.25, 0.75])
     assert q.classical_mutual_information(prod) == pytest.approx(0.0, abs=1e-12)
+    for bad in ([[math.nan, 0.5], [0.25, 0.25]], [[0.5, 0.6], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            q.classical_pinsker_bound(np.array(bad))
 
 
 def test_quantum_pinsker_on_random_states():
@@ -72,6 +75,11 @@ def test_quantum_pinsker_on_random_states():
         rho = q.random_density_matrix((2, 2), RNG)
         m = q.information_measures(rho, [(0,), (1,)])
         assert m["I_AB"] >= q.quantum_pinsker_bound(rho, [(0,), (1,)]) - 1e-10
+    with pytest.raises(ValueError, match="sorted"):
+        q.quantum_pinsker_bound(rho, [(1,), (0,)])
+    # a product state: rho_AB = rho_A x rho_B, so the bound vanishes
+    prod = q.DensityMatrix(np.kron(rho.marginal([0]).mat, rho.marginal([1]).mat), (2, 2))
+    assert q.quantum_pinsker_bound(prod, [(0,), (1,)]) == pytest.approx(0.0, abs=1e-12)
 
 
 def brute_force_typical(p, n, delta):
@@ -196,6 +204,10 @@ def test_typical_set_monte_carlo_matches_per_sample_draws(p, n, seed):
 def test_typical_set_rejects_no_samples(mc_samples):
     with pytest.raises(ValueError, match="mc_samples"):
         q.typical_set([0.8, 0.2], 40, 0.1, mc_samples=mc_samples)
+    for delta in (0.0, -0.1, math.nan):  # both paths, exact and Monte-Carlo
+        for n in (8, 40):
+            with pytest.raises(ValueError, match="delta"):
+                q.typical_set([0.8, 0.2], n, delta)
 
 
 @pytest.mark.parametrize("d,n_exact", [(2, 22), (3, 13), (4, 11)])
@@ -273,6 +285,9 @@ def test_typical_subspace_projector_rejects_empty_block():
     rho = q.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     with pytest.raises(ValueError):
         q.typical_subspace_projector(rho, 0, 0.2)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            q.typical_subspace_projector(rho, 4, delta)
 
 
 def test_compression_full_rate_always_succeeds():

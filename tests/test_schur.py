@@ -274,6 +274,9 @@ def test_spectrum_distribution_extremes():
     dist = q.spectrum_estimation_distribution(0.5, 6)
     assert dist[3.0] == pytest.approx(1.0)
     assert all(abs(v) < 1e-15 for j, v in dist.items() if j != 3.0)
+    for r in (0.2, 0.5):
+        with pytest.raises(ValueError):
+            q.spectrum_estimation_distribution(r, -3)
 
 
 def test_spectrum_tail_bound():
@@ -299,6 +302,9 @@ def test_sampling_and_estimation():
     est = q.keyl_werner_estimate(js, n, r_true=r)
     assert abs(est.r_hat - r) < 0.02
     assert est.tail_bound is not None and 0 <= est.tail_bound <= 1
+    for bad_n in (0, -2):
+        with pytest.raises(ValueError):
+            q.keyl_werner_estimate(js, bad_n)
 
 
 # (d, k) with d^k <= 2048 and 2 <= d <= 8

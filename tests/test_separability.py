@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import qilab as q
-import qilab.separability as sep
 from qilab.schur import _blocks_to_operator, _schur_weyl_basis
 from qilab.separability import (
     FeasibilityReport,
@@ -393,65 +392,69 @@ GRAPHS = [
 
 @pytest.mark.parametrize("n,edges,w", GRAPHS)
 def test_motzkin_straus(n, edges, w):
-    rep = q.motzkin_straus(n, edges, seed=1)
+    rep = q.motzkin_straus(n, edges)
     assert rep.clique_number == w
     assert rep.optimization_value == pytest.approx(1 - 1 / w, abs=1e-6)
 
 
-def motzkin_straus_per_start(n, edges, starts, iterations, seed, clique):
-    """Replicator ascent run one start at a time: best p^T A p over the starts."""
+def random_graphs(rng, count, n_max):
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        density = rng.uniform(0.0, 1.0)
+        graphs.append((n, [e for e in itertools.combinations(range(n), 2)
+                           if rng.random() < density]))
+    return graphs
+
+
+def test_max_clique_matches_brute_force():
+    for n, edges in random_graphs(np.random.default_rng(12), 60, 10):
+        eset = set(edges)
+        w, clique = _max_clique(n, eset)
+        # the largest vertex subset whose pairs are all edges
+        want = max(r for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
+                   if all(e in eset for e in itertools.combinations(c, 2)))
+        assert w == want == len(clique)
+        assert all(e in eset for e in itertools.combinations(sorted(clique), 2))
+
+
+def replicator_ascent(n, edges, p, iterations):
+    """Replicator dynamics p_i <- p_i (A p)_i / p^T A p from one start, which
+    never decreases p^T A p; returns the value it reaches."""
     adj = np.zeros((n, n))
     for i, j in edges:
         adj[i, j] = adj[j, i] = 1.0
-    rng = np.random.default_rng(seed)
-    inits = [rng.dirichlet(np.ones(n)) for _ in range(starts)]
-    inits.append(np.ones(n) / n)
-    uniform_clique = np.zeros(n)
-    for v in clique:
-        uniform_clique[v] = 1.0 / len(clique)
-    inits.append(uniform_clique)
-    best = 0.0
-    for p in inits:
-        for _ in range(iterations):
-            q_ = p * (adj @ p)
-            tot = q_.sum()
-            if tot < 1e-15:
-                break
-            p = q_ / tot
-        best = max(best, float(p @ adj @ p))
-    return best
+    for _ in range(iterations):
+        q_ = p * (adj @ p)
+        tot = q_.sum()
+        if tot < 1e-15:
+            break
+        p = q_ / tot
+    return float(p @ adj @ p)
 
 
-def test_motzkin_straus_matches_per_start_loop(monkeypatch):
+def test_motzkin_straus_value_is_not_exceeded_by_replicator_ascent():
     rng = np.random.default_rng(8)
-    graphs = [(1, []), (6, []), (2, [(0, 1)])]
-    for _ in range(32):
-        n = int(rng.integers(2, 11))
-        density = rng.uniform(0.1, 0.9)
-        graphs.append((n, [e for e in itertools.combinations(range(n), 2)
-                           if rng.random() < density]))
-    for k, (n, edges) in enumerate(graphs):
-        w, clique = _max_clique(n, set(edges))
-        rep = q.motzkin_straus(n, edges, starts=10, iterations=300, seed=k)
-        assert rep.clique_number == w
-        want = motzkin_straus_per_start(n, edges, 10, 300, k, clique)
-        assert rep.optimization_value == pytest.approx(want, abs=1e-12)
-    # The uniform-on-clique start attains the optimum 1 - 1/w.  Pinned to one
-    # vertex it does not, so the value comes from the random and uniform starts.
-    monkeypatch.setattr(sep, "_max_clique", lambda n, eset: (_max_clique(n, eset)[0], {0}))
-    for k, (n, edges) in enumerate(graphs):
-        iterations = (0, 1, 3)[k % 3]
-        rep = q.motzkin_straus(n, edges, starts=10, iterations=iterations, seed=k)
-        want = motzkin_straus_per_start(n, edges, 10, iterations, k, {0})
-        assert rep.optimization_value == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ValueError):
-        q.motzkin_straus(3, [(0, 1)], starts=-1)
+    graphs = [(1, []), (6, []), (2, [(0, 1)]), (20, list(itertools.combinations(range(20), 2)))]
+    for n, edges in graphs + random_graphs(rng, 32, 20):
+        rep = q.motzkin_straus(n, edges)
+        assert rep.optimization_value == pytest.approx(1 - 1 / rep.clique_number, abs=1e-14)
+        for p in rng.dirichlet(np.ones(n), size=10):
+            assert replicator_ascent(n, edges, p, 300) <= rep.optimization_value + 1e-12
+    with pytest.raises(TypeError):
+        q.motzkin_straus(3, [(0, 1)], seed=0)
+
+
+def data_hiding_bound_matrix(d):
+    """The bound operator I/(d(d^2-1)) - Phi+/(d^2-1), materialized."""
+    phi = q.phi_plus(d).density().mat
+    return np.eye(d * d) / (d * (d * d - 1)) - phi / (d * d - 1)
 
 
 def test_data_hiding_closed_form_matches_matrix():
     for d in (2, 3, 4):
         rep = q.data_hiding_bias(d)
-        mat = q.data_hiding_bound_matrix(d)
+        mat = data_hiding_bound_matrix(d)
         half_norm = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(mat)))
         assert rep.ppt_bias_bound == pytest.approx(half_norm, abs=1e-12)
         assert rep.ppt_bias_bound <= 1 / d + 1e-12
@@ -490,3 +493,6 @@ def test_bcy_biases_match_per_sample_density_loop():
 def test_bcy_inequality_check_rejects_no_samples(samples):
     with pytest.raises(ValueError, match="samples"):
         q.bcy_inequality_check(q.phi_plus().density(), np.eye(4), 2, samples=samples)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must"):
+            q.bcy_inequality_check(q.phi_plus().density(), np.eye(4), k)
