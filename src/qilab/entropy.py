@@ -17,11 +17,12 @@ from .tensor import _checked_power, basis_digits, hermitian_eig, trace_norm
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
 MC_BATCH = 4096  # rows per multinomial draw in typical_set: bounded memory, the per-sample stream
+TYPE_CLASS_CAP = 2**15  # compression_trial keeps n log2(d)-bit sizes per class: 260 MB at n = 2^15 - 1
 
 
-def _checked_distribution(p: Sequence[float], tol: float = 1e-9) -> np.ndarray:
+def _checked_distribution(p: Sequence[float]) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if not (np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol):  # also rejects NaN, inf
+    if not (np.all(p >= -1e-9) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("not a probability distribution")
     return np.clip(p, 0.0, None)
 
@@ -297,12 +298,13 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
     d = len(p)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if d > 4:
-        raise ValueError("compression simulation supports small alphabets (d <= 4)")
     if n < 1:
         raise ValueError("block length n must be at least 1")
     if not 0 <= rate < math.inf:  # also rejects NaN
         raise ValueError("rate must be finite and nonnegative")
+    # C(n + d - 1, d - 1) >= 2^min(n, d - 1), so a count that long is refused before it is formed
+    if min(n, d - 1) > TYPE_CLASS_CAP.bit_length() or math.comb(n + d - 1, d - 1) > TYPE_CLASS_CAP:
+        raise ValueError(f"{d} symbols at block length {n} make more than {TYPE_CLASS_CAP} type classes")
     types = [(t, size) for t, size in _iter_types(n, d)
              if not any(t[i] > 0 and p[i] == 0 for i in range(d))]
     types.sort(key=lambda ts: -sum(ts[0][i] * math.log(p[i]) for i in range(d) if ts[0][i]))

@@ -33,8 +33,8 @@ class SchmidtDecomposition:
         shaped = mat.reshape([self.dims[i] for i in perm])
         return shaped.transpose(np.argsort(perm)).reshape(-1)
 
-    def rank(self, tol: float = 1e-12) -> int:
-        return int(np.sum(self.coefficients > tol))
+    def rank(self) -> int:
+        return int(np.sum(self.coefficients > 1e-12))
 
 
 def schmidt(psi: PureState, cut: Sequence[int] | int) -> SchmidtDecomposition:
@@ -199,15 +199,7 @@ def hyperdeterminant(psi: PureState) -> complex:
     return d1 - 2 * d2 + 4 * d3
 
 
-def _marginal_second_eigenvalue(psi: PureState, party: int) -> float:
-    rho = psi.marginal([party]).mat
-    vals = np.linalg.eigvalsh(rho)
-    return float(vals[0])
-
-
-def classify_three_qubit(psi: PureState,
-                         rank_tol: float = RANK_TOL,
-                         hyperdet_tol: float = HYPERDET_TOL) -> SloccClass:
+def classify_three_qubit(psi: PureState) -> SloccClass:
     """SLOCC class from marginal ranks plus the hyperdeterminant.
 
     Returns UNDETERMINED (never a silent guess) when a marginal eigenvalue
@@ -216,11 +208,11 @@ def classify_three_qubit(psi: PureState,
     """
     if psi.dims != (2, 2, 2):
         raise ValueError("classification is defined for three qubits")
-    lo_r, hi_r = _BAND[0] * rank_tol, _BAND[1] * rank_tol
-    seconds = [_marginal_second_eigenvalue(psi, k) for k in range(3)]
-    if any(lo_r <= s <= hi_r for s in seconds):
+    # the smaller eigenvalue of each one-qubit marginal
+    seconds = [float(np.linalg.eigvalsh(psi.marginal([k]).mat)[0]) for k in range(3)]
+    if any(_BAND[0] * RANK_TOL <= s <= _BAND[1] * RANK_TOL for s in seconds):
         return SloccClass.UNDETERMINED
-    pure_marginals = [s < rank_tol for s in seconds]
+    pure_marginals = [s < RANK_TOL for s in seconds]
     n_pure = sum(pure_marginals)
     if n_pure >= 2:
         return SloccClass.PRODUCT
@@ -229,27 +221,27 @@ def classify_three_qubit(psi: PureState,
         return (SloccClass.BIPARTITE_BC, SloccClass.BIPARTITE_AC,
                 SloccClass.BIPARTITE_AB)[idx]
     hd = abs(hyperdeterminant(psi))
-    if _BAND[0] * hyperdet_tol <= hd <= _BAND[1] * hyperdet_tol:
+    if _BAND[0] * HYPERDET_TOL <= hd <= _BAND[1] * HYPERDET_TOL:
         return SloccClass.UNDETERMINED
-    return SloccClass.GHZ if hd > hyperdet_tol else SloccClass.W
+    return SloccClass.GHZ if hd > HYPERDET_TOL else SloccClass.W
 
 
 # ---------------------------------------------------------------------------
 # one-body marginal problem for three qubits
 # ---------------------------------------------------------------------------
 
-def three_qubit_spectra_compatible(lmax: Sequence[float], tol: float = 1e-12) -> bool:
+def three_qubit_spectra_compatible(lmax: Sequence[float]) -> bool:
     """Can (lmax_A, lmax_B, lmax_C) arise as largest marginal eigenvalues?
 
     Each lambda must lie in [1/2, 1] and satisfy the three polygon-type
-    inequalities lambda_i + lambda_j <= 1 + lambda_k.
+    inequalities lambda_i + lambda_j <= 1 + lambda_k, both within 1e-12.
     """
     l = [float(x) for x in lmax]
-    if len(l) != 3 or any(x < 0.5 - tol or x > 1 + tol for x in l):
+    if len(l) != 3 or any(x < 0.5 - 1e-12 or x > 1 + 1e-12 for x in l):
         raise ValueError("largest eigenvalues must lie in [1/2, 1]")
     for k in range(3):
         i, j = [x for x in range(3) if x != k]
-        if l[i] + l[j] > 1 + l[k] + tol:
+        if l[i] + l[j] > 1 + l[k] + 1e-12:
             return False
     return True
 
@@ -275,12 +267,12 @@ def three_qubit_state_from_spectra(lmax: Sequence[float]) -> PureState:
     return PureState(amps, (2, 2, 2))
 
 
-def w_polytope_check(lmax: Sequence[float], tol: float = 1e-9) -> bool:
-    """lambda_A + lambda_B + lambda_C >= 2 characterizes W-class marginals."""
+def w_polytope_check(lmax: Sequence[float]) -> bool:
+    """lambda_A + lambda_B + lambda_C >= 2 (within 1e-9) characterizes W-class marginals."""
     l = [float(x) for x in lmax]
     if len(l) != 3:
         raise ValueError("need three largest eigenvalues")
-    return sum(l) >= 2 - tol
+    return sum(l) >= 2 - 1e-9
 
 
 def largest_marginal_eigenvalues(psi: PureState) -> tuple[float, float, float]:

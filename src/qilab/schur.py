@@ -60,7 +60,7 @@ def definetti_error_bound(d: int, n: int, k: int) -> float:
     return 2 * math.sqrt(max(0.0, 1.0 - estimation_overlap(d, n, k)))
 
 
-def symmetric_purification(rho: DensityMatrix, tol: float = 1e-8) -> PureState:
+def symmetric_purification(rho: DensityMatrix) -> PureState:
     """Permutation-invariant purification of a permutation-invariant state.
 
     Uses |psi> = (sqrt(rho) x I) |Gamma> with |Gamma> = sum_x |x>|x>
@@ -73,10 +73,10 @@ def symmetric_purification(rho: DensityMatrix, tol: float = 1e-8) -> PureState:
     d, n = dims[0], len(dims)
     _check_size(rho.dim)
     # invariance check on adjacent transpositions (they generate S_n),
-    # applied to the row and column axes of the tensor together
+    # applied to the row and column axes of the tensor together, within 1e-8
     t = rho.mat.reshape((d,) * (2 * n))
     for i in range(n - 1):
-        if np.max(np.abs(t.swapaxes(i, i + 1).swapaxes(n + i, n + i + 1) - t)) > tol:
+        if np.max(np.abs(t.swapaxes(i, i + 1).swapaxes(n + i, n + i + 1) - t)) > 1e-8:
             raise ValueError("state is not permutation invariant")
     amps = _psd_sqrt(rho.mat).reshape(-1)  # (sqrt(rho) x I)|Gamma> in row-major layout
     return PureState(amps / np.linalg.norm(amps), dims + dims)
@@ -120,28 +120,18 @@ def _partitions(k: int, rows: int, top: int | None = None):
             yield (first,) + rest
 
 
-def _semistandard_fillings(shape: tuple[int, ...], d: int) -> np.ndarray:
-    """Every semistandard filling of ``shape`` from {0..d-1}, in row-reading order.
-
-    Rows weakly increase and columns strictly increase; there are
-    dim Q_shape of them, one row of the result each.
-    """
-    cells = [(i, c) for i, r in enumerate(shape) for c in range(r)]
-    fills: list[tuple[int, ...]] = []
-    value: dict[tuple[int, int], int] = {}
-
-    def grow(p: int) -> None:
-        if p == len(cells):
-            fills.append(tuple(value[c] for c in cells))
-            return
-        i, c = cells[p]
-        lo = max(value[i, c - 1] if c else 0, value[i - 1, c] + 1 if i else 0)
-        for v in range(lo, d):
-            value[i, c] = v
-            grow(p + 1)
-
-    grow(0)
-    return np.array(fills, dtype=np.intp).reshape(len(fills), len(cells))
+def _semistandard_indices(shape: tuple[int, ...], d: int) -> np.ndarray:
+    """Increasing indices of the strings in (C^d)^{x |shape|} that are semistandard
+    fillings of ``shape``, cell c in row-reading order holding digit c."""
+    # np.indices, not tensor.basis_digits: a cold build would add a perfbench-traced call
+    digits = np.indices((d,) * sum(shape)).reshape(sum(shape), -1)
+    start = np.cumsum((0,) + shape[:-1])
+    ok = np.ones(digits.shape[1], dtype=bool)
+    for i, (s, r) in enumerate(zip(start, shape)):
+        ok &= np.all(digits[s:s + r - 1] <= digits[s + 1:s + r], axis=0)  # along row i
+        if i:  # down each column into row i
+            ok &= np.all(digits[start[i - 1]:start[i - 1] + r] < digits[s:s + r], axis=0)
+    return np.flatnonzero(ok)
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,16 +149,15 @@ def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     shapes = list(_partitions(k, d))
     f, blocks = [], []
-    place = d ** np.arange(k - 1, -1, -1)
     for shape in shapes:
         cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
         hooks = math.prod(r - c + cols[c] - i - 1
                           for i, r in enumerate(shape) for c in range(r))
         f.append(math.factorial(k) // hooks)
-        fills = _semistandard_fillings(shape, d)
-        v = np.zeros((d**k, len(fills)))
-        v[fills @ place, np.arange(len(fills))] = 1.0
-        t = v.reshape((d,) * k + (len(fills),))
+        fills = _semistandard_indices(shape, d)
+        v = np.zeros((d**k, fills.size))
+        v[fills, np.arange(fills.size)] = 1.0
+        t = v.reshape((d,) * k + (fills.size,))
         start = np.cumsum((0,) + shape[:-1])
         for s, r in zip(start, shape):
             t = _permutation_average(t, [(p,) for p in range(s, s + r)])

@@ -30,14 +30,12 @@ class PptVerdict:
     spectrum: np.ndarray
 
 
-def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0,
-              tol: float = 1e-10) -> PptVerdict:
-    """Partial-transpose spectrum test; a negative eigenvalue certifies
-    entanglement."""
+def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> PptVerdict:
+    """Partial-transpose spectrum test; an eigenvalue below -1e-10 certifies entanglement."""
     pt = partial_transpose(rho.mat, rho.dims, transpose_on)
     spec = hermitian_eig(pt).eigenvalues
     lo = float(spec[-1])
-    return PptVerdict(lo >= -tol, lo, spec)
+    return PptVerdict(lo >= -1e-10, lo, spec)
 
 
 def witness_value(w: np.ndarray, rho: DensityMatrix) -> float:
@@ -111,11 +109,7 @@ def _project_psd_blocks(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def k_extendibility(rho: DensityMatrix, k: int,
-                    eps_feasible: float = 1e-7,
-                    eps_gap: float = 1e-4,
-                    max_iterations: int = 5000,
-                    plateau_window: int = 100,
-                    plateau_rel: float = 1e-10) -> FeasibilityReport:
+                    max_iterations: int = 5000) -> FeasibilityReport:
     """Search for a permutation-invariant k-extension of a bipartite state.
 
     Dykstra's alternating projections between the PSD cone (eigenvalue
@@ -125,10 +119,10 @@ def k_extendibility(rho: DensityMatrix, k: int,
     as Schur-Weyl blocks X_lam on C^{d_A} x Q_lam; the exact affine step adds
     the blocks of sym(L^{-1}(rho - marginal) x I), L inverted in closed form.
 
-    A residual below ``eps_feasible`` yields Feasible with the extension
-    attached; a residual plateau above ``eps_gap`` is reported as
-    InfeasibleEvidence (the gap lower-bounds the distance between the two
-    sets); everything else is Undetermined.
+    A residual below 1e-7 yields Feasible with the extension attached.  A
+    plateau (a relative change below 1e-10 over 100 iterations) above 1e-4
+    is reported as InfeasibleEvidence (the gap lower-bounds the distance
+    between the two sets); everything else is Undetermined.
     """
     if len(rho.dims) != 2:
         raise ValueError("state must be explicitly bipartite")
@@ -173,16 +167,16 @@ def k_extendibility(rho: DensityMatrix, k: int,
         x = project_affine(y)
         residual = math.sqrt(f @ np.linalg.norm((y - x).reshape(n, -1), axis=1) ** 2)
         history.append(residual)
-        if residual <= eps_feasible:
+        if residual <= 1e-7:
             # x satisfies the affine constraints by construction
             lo = float(np.min(np.linalg.eigvalsh((x + x.conj().transpose(0, 2, 1)) / 2)))
             if lo >= -1e-6:
                 return FeasibilityReport(
                     FeasStatus.FEASIBLE, residual, it, _blocks_to_operator(x, d_a, d_b, k))
-        if it > plateau_window:
-            old = history[-plateau_window - 1]
-            if old > 0 and abs(old - residual) / old < plateau_rel:
-                if residual > eps_gap:
+        if it > 100:
+            old = history[-101]
+            if old > 0 and abs(old - residual) / old < 1e-10:
+                if residual > 1e-4:
                     return FeasibilityReport(
                         FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None)
                 break  # flat but small: numerically stuck, report Undetermined
@@ -286,8 +280,7 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
 
 
 def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
-                  starts: int = 32, sweeps: int = 200,
-                  tol: float = 1e-12, seed: int = 0) -> float:
+                  starts: int = 32, seed: int = 0) -> float:
     """Lower bound on h_Sep(M) by alternating top-eigenvector ascent.
 
     Fixing one side of a product state, the optimal other side is the top
@@ -303,18 +296,16 @@ def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
     for _ in range(starts):
         b = random_pure_state(d_b, rng).amps
         val = -math.inf
-        for _ in range(sweeps):
+        for _ in range(200):
             ma = np.einsum("aBAb,B,b->aA", m, b.conj(), b)
             vals, vecs = np.linalg.eigh((ma + ma.conj().T) / 2)
             a = vecs[:, -1]
             mb = np.einsum("aBAb,a,A->Bb", m, a.conj(), a)
             vals, vecs = np.linalg.eigh((mb + mb.conj().T) / 2)
             b = vecs[:, -1]
-            new = float(vals[-1])
-            if new - val < tol:
-                val = new
+            gain, val = vals[-1] - val, float(vals[-1])
+            if gain < 1e-12:
                 break
-            val = new
         best = max(best, val)
     return best
 

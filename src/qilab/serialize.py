@@ -12,10 +12,19 @@ from typing import Any
 import numpy as np
 
 from .states import DensityMatrix, PureState
+from .tensor import _strict_int
 
 
 class FormatError(ValueError):
     """Malformed serialized object."""
+
+
+def _finite(x: Any) -> np.ndarray:
+    """A JSON number list as a float array; NaN and infinities are refused."""
+    a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite numbers")
+    return a
 
 
 def matrix_to_json(m: np.ndarray, dims=None) -> dict[str, Any]:
@@ -35,16 +44,14 @@ def matrix_to_json(m: np.ndarray, dims=None) -> dict[str, Any]:
 
 def matrix_from_json(obj: dict[str, Any]) -> tuple[np.ndarray, tuple[int, ...] | None]:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        rows, cols = _strict_int(obj["rows"]), _strict_int(obj["cols"])
+        re, im = _finite(obj["re"]), _finite(obj["im"])
+        dims = tuple(_strict_int(d) for d in obj["dims"]) if "dims" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix object: {exc}") from exc
     if re.size != rows * cols or im.size != rows * cols:
         raise FormatError("re/im length does not match rows*cols")
-    m = (re + 1j * im).reshape(rows, cols)
-    dims = tuple(int(d) for d in obj["dims"]) if "dims" in obj else None
-    return m, dims
+    return (re + 1j * im).reshape(rows, cols), dims
 
 
 def state_to_json(psi: PureState) -> dict[str, Any]:
@@ -57,9 +64,8 @@ def state_to_json(psi: PureState) -> dict[str, Any]:
 
 def state_from_json(obj: dict[str, Any]) -> PureState:
     try:
-        re = np.asarray(obj["amps_re"], dtype=float)
-        im = np.asarray(obj["amps_im"], dtype=float)
-        dims = tuple(int(d) for d in obj["dims"])
+        re, im = _finite(obj["amps_re"]), _finite(obj["amps_im"])
+        dims = tuple(_strict_int(d) for d in obj["dims"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad state object: {exc}") from exc
     if re.size != im.size:
@@ -84,5 +90,5 @@ def load_state_or_density(path: str) -> PureState | DensityMatrix:
     m, dims = matrix_from_json(obj)
     try:
         return DensityMatrix(m, dims)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:  # the latter for entries that overflow
         raise FormatError(str(exc)) from exc

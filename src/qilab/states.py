@@ -65,7 +65,8 @@ class PureState:
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "dims", _check_dims(amps.size, self.dims))
-        nrm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # a huge entry overflows to an inf norm, rejected below
+            nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"state vector norm {nrm} is not 1 within 1e-10")
 
@@ -96,10 +97,11 @@ class DensityMatrix:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if not is_hermitian(m, PSD_TOL):
-            raise ValueError("density matrix is not Hermitian within 1e-9")
-        m = (m + m.conj().T) / 2
-        tr = np.trace(m).real
+        with np.errstate(over="raise", invalid="raise"):  # huge or inf entries: FloatingPointError
+            if not is_hermitian(m):
+                raise ValueError("density matrix is not Hermitian within 1e-9")
+            m = (m + m.conj().T) / 2
+            tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1 within 1e-9")
         lo = _negative_eigenvalue(m)
@@ -136,7 +138,7 @@ class Povm:
         for e in els:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share one square shape")
-            if not is_hermitian(e, PSD_TOL):
+            if not is_hermitian(e):
                 raise ValueError("POVM element not Hermitian")
             if _negative_eigenvalue((e + e.conj().T) / 2) is not None:
                 raise ValueError("POVM element not PSD within 1e-9")
@@ -213,7 +215,7 @@ def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
 def post_measurement(rho: DensityMatrix, projector: np.ndarray) -> tuple[float, DensityMatrix]:
     """Project and renormalize: (p, P rho P / p) for a projector P."""
     p_op = np.asarray(projector, dtype=complex)
-    if np.max(np.abs(p_op @ p_op - p_op)) > 1e-9 or not is_hermitian(p_op, 1e-9):
+    if np.max(np.abs(p_op @ p_op - p_op)) > 1e-9 or not is_hermitian(p_op):
         raise ValueError("projector must satisfy P^2 = P = P^dag within 1e-9")
     prob = float(np.trace(p_op @ rho.mat).real)
     if prob < ZERO_PROB:
@@ -285,6 +287,7 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
     """Kraus form of rho -> (1-p) rho + p I/d, for p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+    _check_size(d * d)  # d^2 Kraus operators
     # Heisenberg-Weyl shift/clock basis gives a Kraus set in any dimension.
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
@@ -364,6 +367,7 @@ def w_state() -> PureState:
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
+    _check_size(d)
     return DensityMatrix(np.eye(d) / d, (d,))
 
 
@@ -431,7 +435,8 @@ def random_density_matrix(dims: Sequence[int] | int, rng: np.random.Generator,
                           rank: int | None = None) -> DensityMatrix:
     if isinstance(dims, (int, np.integer)):
         dims = (int(dims),)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
+    _check_size(d)
     r = rank or d
     g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     m = g @ g.conj().T
@@ -439,6 +444,7 @@ def random_density_matrix(dims: Sequence[int] | int, rng: np.random.Generator,
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    _check_size(d)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -447,6 +453,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_separable_state(d_a: int, d_b: int, rng: np.random.Generator,
                            terms: int = 4) -> DensityMatrix:
     """Random mixture of random product pure states."""
+    _check_size(d_a * d_b)
     w = rng.dirichlet(np.ones(terms))
     acc = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for wi in w:

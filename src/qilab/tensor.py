@@ -5,6 +5,7 @@ significant digit, matching the ordering produced by ``numpy.kron``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,14 +39,22 @@ def _checked_power(d: int, n: int) -> int:
     return dim
 
 
+def _strict_int(x) -> int:
+    """``x`` as an int if it is an int or an integral float (not a bool), else ValueError."""
+    if isinstance(x, (bool, np.bool_)) or not (isinstance(x, (int, np.integer)) or (
+            isinstance(x, (float, np.floating)) and float(x).is_integer())):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     """Positive subsystem dimensions multiplying to ``size``; None is one system."""
     if dims is None:
         return (size,)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_strict_int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if size != total:
         raise ValueError(f"dims {dims} imply size {total}, but the space has size {size}")
     return dims
@@ -110,9 +119,9 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[i
     return t.transpose(axes).reshape(m.shape)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -127,17 +136,17 @@ class EigDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigDecomposition:
+def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
-    Rejects inputs with Hermiticity defect above ``tol``; below that the
-    input is symmetrized before factorization, so the returned eigenvalues
-    are exactly real.
+    Rejects a Hermiticity defect above HERMITICITY_TOL = 1e-9; below that
+    the input is symmetrized before factorization, so the returned
+    eigenvalues are exactly real.
     """
     m = _as_matrix(m)
     defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     h = (m + m.conj().T) / 2
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
@@ -159,13 +168,13 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """D(a, b) = (1/2)||a - b||_1 for Hermitian a, b of equal size."""
     a = _as_matrix(a)
     b = _as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if not is_hermitian(a, tol) or not is_hermitian(b, tol):
+    if not is_hermitian(a) or not is_hermitian(b):
         raise ValueError("trace_distance expects Hermitian operands")
     return 0.5 * trace_norm(a - b)
 

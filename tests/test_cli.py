@@ -177,6 +177,37 @@ def test_cli_input_errors(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+PHI_MATRIX = matrix_to_json(q.phi_plus().density().mat, (2, 2))
+HALF = 2 ** -0.5
+
+
+@pytest.mark.parametrize("obj", [
+    dict(PHI_MATRIX, dims=None),
+    dict(PHI_MATRIX, dims=[[2], [2]]),
+    dict(PHI_MATRIX, dims=[2.9, 2.1]),
+    dict(PHI_MATRIX, dims=[True, 4]),
+    dict(PHI_MATRIX, rows="1e400"),  # written as the bare number, which reads as inf
+    dict(PHI_MATRIX, rows=4.7, cols=4.2),
+    dict(PHI_MATRIX, rows=True),
+    {"amps_re": [HALF, 0, 0, HALF], "amps_im": [0, 0, 0, 0], "dims": [2.5, 2.5]},
+], ids=["dims-null", "dims-nested", "dims-fractional", "dims-bool", "rows-huge", "rows-fractional",
+        "rows-bool", "pure-dims-fractional"])
+def test_cli_state_file_integers_are_strict(tmp_path, capsys, obj):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj).replace('"1e400"', "1e400"))
+    assert main(["entropy", "--state", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("qi-cli: input error: ")
+
+
+def test_cli_state_file_integral_floats_are_integers(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(dict(PHI_MATRIX, rows=4.0, cols=4, dims=[2.0, 2])))
+    code, rep = run(capsys, ["entropy", "--state", str(path)])
+    assert code == 0 and rep["results"]["I_AB"] == 2.0
+
+
 @pytest.mark.parametrize("d, k", [(2, 10**6), (3, 10**8)])
 def test_cli_extend_refuses_huge_k_at_once(tmp_path, capsys, d, k):
     path = write_density(tmp_path, q.phi_plus(d).density())
@@ -237,7 +268,7 @@ def reals(lo, hi):
 
 
 FUZZ_STATES = {
-    "phi": matrix_to_json(q.phi_plus().density().mat, (2, 2)),
+    "phi": PHI_MATRIX,
     "phi_pure": state_to_json(q.phi_plus()),
     "ghz": state_to_json(q.ghz_state()),
     "qubit": state_to_json(q.PureState(np.array([0.6, 0.8]))),
@@ -318,3 +349,44 @@ def test_cli_fuzz_exits_cleanly_with_strict_json(fuzz_dir, argv):
         assert out.getvalue() == ""
     else:
         assert strict_json(out.getvalue())["command"] in argv
+
+
+# --- fuzzing: valid and mutated state files ------------------------------------
+
+FILE_COMMANDS = [["ppt"], ["witness"], ["extend", "--k", "2"], ["entropy"], ["classify3q"], ["teleport"]]
+# "1e400" is written as the bare number; 2.0 and 4.0 are integral floats, which pass as integers
+ODD_VALUES = [None, True, False, 0, -1, 1, 2, 2.0, 4.0, 2.5, 1e300, 1.7e308, -1.7e308, "1e400",
+              10**30, "2", [], [2], [[2], [2]], {"rows": 2}]
+
+
+@st.composite
+def state_file(draw):
+    """One of FUZZ_STATES as JSON text, unchanged or with one field (or one entry
+    of a list field) removed or replaced by an odd value."""
+    obj = json.loads(json.dumps(FUZZ_STATES[draw(st.sampled_from(sorted(FUZZ_STATES)))]))
+    field = draw(st.sampled_from([None] + sorted(obj)))
+    if field is not None:
+        how = draw(st.sampled_from(["missing", "field", "entry"]))
+        value = draw(st.sampled_from(ODD_VALUES))
+        if how == "missing":
+            del obj[field]
+        elif how == "entry" and isinstance(obj[field], list) and obj[field]:
+            obj[field][draw(st.integers(0, len(obj[field]) - 1))] = value
+        else:
+            obj[field] = value
+    return json.dumps(obj).replace('"1e400"', "1e400")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=state_file(), command=st.sampled_from(FILE_COMMANDS))
+def test_cli_state_file_fuzz_exits_cleanly_with_strict_json(fuzz_dir, text, command):
+    path = fuzz_dir / "mutated.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], "--state", str(path), *command[1:]])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+    else:
+        assert strict_json(out.getvalue())["command"] == command[0]

@@ -313,6 +313,34 @@ def test_compression_rejects_bad_rate(rate):
         q.compression_trial([0.9, 0.1], 10, rate, trials=5)
 
 
+@pytest.mark.parametrize("p,n", [
+    ([0.1, 0.2, 0.3, 0.4], 60),  # C(63, 3) = 39711 classes
+    ([0.2, 0.3, 0.5], 255),  # C(257, 2) = 32896 classes
+    ([0.3, 0.7], 2**15),  # 2^15 + 1 classes
+    ([1 / 30] * 30, 30),  # C(59, 29) is not formed
+])
+def test_compression_refuses_too_many_type_classes_at_once(p, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="type classes"):
+        q.compression_trial(p, n, 0.5, trials=5)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_compression_type_class_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr("qilab.entropy.TYPE_CLASS_CAP", 10)
+    assert q.compression_trial([0.3, 0.7], 9, 0.5, trials=5).trials == 5  # 10 classes
+    with pytest.raises(ValueError, match="type classes"):
+        q.compression_trial([0.3, 0.7], 10, 0.5, trials=5)
+
+
+def test_compression_accepts_any_alphabet_within_the_bound():
+    # five symbols were refused outright; C(14, 4) = 1001 classes
+    rep = q.compression_trial([0.1, 0.1, 0.2, 0.2, 0.4], 10, 2.5, trials=50, seed=3)
+    assert rep.success_rate > 0.5
+    # the binary block lengths qi-cli accepts stay within the bound
+    assert q.compression_trial([0.9, 0.1], 20000, 0.5, trials=5).trials == 5
+
+
 def test_compression_phase_transition_small():
     h = q.binary_entropy(0.11)  # ~0.4999
     hi = q.compression_trial([0.11, 0.89], 400, 0.65, trials=100, seed=5)

@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qilab as q
-from qilab.schur import _blocks_to_operator, _schur_weyl_basis
+from qilab.schur import _blocks_to_operator, _partitions, _schur_weyl_basis, _semistandard_indices
 from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
 from qilab.tensor import permutation_operator, swap_operator, tensor
-from tests_helpers_schur import spin_multiplicity_recursive, symmetrize_b, to_schur_weyl_blocks
+from tests_helpers_schur import (
+    semistandard_fillings,
+    spin_multiplicity_recursive,
+    symmetrize_b,
+    to_schur_weyl_blocks,
+)
 
 RNG = np.random.default_rng(19)
 
@@ -321,6 +326,14 @@ def test_schur_weyl_basis_splits_the_tensor_power(d, k):
     assert np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))) <= 1e-13
     for l, q_l in enumerate(q_dims):
         assert not np.any(w[l, :, q_l:])  # padding columns
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 7) for k in range(1, 9) if d**k <= 4096])
+def test_semistandard_indices_match_the_recursive_fillings(d, k):
+    place = d ** np.arange(k - 1, -1, -1)
+    for shape in _partitions(k, d):
+        want = semistandard_fillings(shape, d) @ place
+        assert np.array_equal(_semistandard_indices(shape, d), want), shape
 
 
 # (d_a, d, k) with d_a d^k <= 64

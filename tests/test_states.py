@@ -24,6 +24,10 @@ def test_density_matrix_validation():
     for dims in ((-2, -2), (-1, -4)):  # the product matches the size
         with pytest.raises(ValueError, match="positive"):
             q.DensityMatrix(np.eye(4) / 4, dims=dims)
+    # entries near the float limit overflow the checks: an error, not a warning
+    for m in (np.diag([1.7e308, 1.7e308]), np.array([[0, 1.7e308], [-1.7e308, 0]])):
+        with pytest.raises(FloatingPointError):
+            q.DensityMatrix(m)
 
 
 def state_with_spectrum(d: int, lam_min: float, rng: np.random.Generator,
@@ -99,6 +103,8 @@ def test_pure_state_validation():
             q.PureState(np.array([1.0, bad]))
         with pytest.raises(ValueError):
             q.PureState(np.array([complex(0.0, bad), 0.0]))
+    with pytest.raises(ValueError, match="norm inf"):  # overflows without a warning
+        q.PureState(np.array([1e300, 0.0]))
     for dims in ((-2, -2), (-1, -4)):  # the product matches the size
         with pytest.raises(ValueError, match="positive"):
             q.PureState(np.array([1.0, 0.0, 0.0, 0.0]), dims)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,11 @@ import qilab as q
 from qilab.tensor import (
     SIZE_CAP,
     EigDecomposition,
+    _check_dims,
     _check_size,
+    _strict_int,
     hermitian_eig,
+    is_hermitian,
     partial_trace,
     partial_transpose,
     permutation_operator,
@@ -165,6 +169,11 @@ OVERSIZED = {
     "typical_subspace_projector": lambda: (
         q.typical_subspace_projector, q.DensityMatrix(np.diag([0.7, 0.3]).astype(complex)), 13, 0.2),
     "PureState.density": lambda: (q.PureState(np.eye(1, 2**13)[0], (2,) * 13).density,),
+    "maximally_mixed": lambda: (q.maximally_mixed, 4097),
+    "random_density_matrix": lambda: (q.random_density_matrix, (4097,), np.random.default_rng(0)),
+    "random_unitary": lambda: (q.random_unitary, 4097, np.random.default_rng(0)),
+    "random_separable_state": lambda: (q.random_separable_state, 65, 64, np.random.default_rng(0)),
+    "depolarizing_channel": lambda: (q.depolarizing_channel, 0.5, 65),  # 65^2 Kraus operators
 }
 
 
@@ -195,3 +204,53 @@ def test_bad_inputs():
         partial_transpose(np.eye(6), (2, 3), 2)
     with pytest.raises(ValueError):
         permutation_operator(2, [0, 0, 1])
+
+
+@pytest.mark.parametrize("x", [4, 4.0, np.int64(4), np.float64(4.0)])
+def test_strict_int_accepts_integral_numbers(x):
+    assert _strict_int(x) == 4 and type(_strict_int(x)) is int
+
+
+@pytest.mark.parametrize("x", [True, np.bool_(False), 2.5, math.nan, math.inf, -math.inf,
+                               None, [2], "2", 1j])
+def test_strict_int_refuses_everything_else(x):
+    with pytest.raises(ValueError, match="expected an integer"):
+        _strict_int(x)
+
+
+def test_check_dims_refuses_non_integer_dimensions():
+    assert _check_dims(4, (2.0, np.int64(2))) == (2, 2)
+    for dims in [(2.9, 2.1), (True, 4), (2.5, 1.6), (None, 4)]:
+        with pytest.raises(ValueError):
+            _check_dims(4, dims)
+    with pytest.raises(ValueError):
+        q.DensityMatrix(np.eye(4) / 4, (2.9, 2.1))
+    # the product is exact: int64 would wrap 2^64 round to 0
+    with pytest.raises(ValueError, match="imply size 18446744073709551616"):
+        _check_dims(1, (2**32, 2**32))
+
+
+# each tolerance or stopping rule that is a fixed value, as (function, args, keyword)
+FIXED_VALUES = {
+    "is_hermitian(tol)": (is_hermitian, (np.eye(2),), "tol"),
+    "hermitian_eig(tol)": (hermitian_eig, (np.eye(2),), "tol"),
+    "trace_distance(tol)": (trace_distance, (np.eye(2) / 2, np.eye(2) / 2), "tol"),
+    "ppt_check(tol)": (q.ppt_check, (q.noisy_epr(0.5),), "tol"),
+    **{f"k_extendibility({kw})": (q.k_extendibility, (q.noisy_epr(0.5), 2), kw)
+       for kw in ("eps_feasible", "eps_gap", "plateau_window", "plateau_rel")},
+    **{f"h_sep_sampled({kw})": (q.h_sep_sampled, (np.eye(4), (2, 2)), kw) for kw in ("sweeps", "tol")},
+    "SchmidtDecomposition.rank(tol)": (q.schmidt(q.phi_plus(), 1).rank, (), "tol"),
+    **{f"classify_three_qubit({kw})": (q.classify_three_qubit, (q.ghz_state(),), kw)
+       for kw in ("rank_tol", "hyperdet_tol")},
+    "three_qubit_spectra_compatible(tol)": (q.three_qubit_spectra_compatible, ((0.5, 0.5, 0.5),), "tol"),
+    "w_polytope_check(tol)": (q.w_polytope_check, ((1.0, 1.0, 1.0),), "tol"),
+    "symmetric_purification(tol)": (q.symmetric_purification,
+                                    (q.DensityMatrix(np.eye(4) / 4, (2, 2)),), "tol"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_VALUES))
+def test_fixed_tolerances_are_not_keywords(name):
+    fn, args, kw = FIXED_VALUES[name]
+    with pytest.raises(TypeError, match=kw):
+        fn(*args, **{kw: 1})

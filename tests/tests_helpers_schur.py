@@ -15,6 +15,27 @@ def spin_multiplicity_recursive(n: int, j: float) -> int:
     return table.get(float(j), 0)
 
 
+def semistandard_fillings(shape: tuple[int, ...], d: int) -> np.ndarray:
+    """Every semistandard filling of ``shape`` from {0..d-1}, in row-reading order,
+    grown cell by cell: rows weakly increase and columns strictly increase."""
+    cells = [(i, c) for i, r in enumerate(shape) for c in range(r)]
+    fills: list[tuple[int, ...]] = []
+    value: dict[tuple[int, int], int] = {}
+
+    def grow(p: int) -> None:
+        if p == len(cells):
+            fills.append(tuple(value[c] for c in cells))
+            return
+        i, c = cells[p]
+        lo = max(value[i, c - 1] if c else 0, value[i - 1, c] + 1 if i else 0)
+        for v in range(lo, d):
+            value[i, c] = v
+            grow(p + 1)
+
+    grow(0)
+    return np.array(fills, dtype=np.intp).reshape(len(fills), len(cells))
+
+
 def to_schur_weyl_blocks(x, d_a: int, d: int, k: int):
     """Zero-padded stack of the blocks X_lam = (I x W_lam)^T x (I x W_lam) of an
     operator x on C^{d_a} x (C^d)^{x k}, in the basis of ``_schur_weyl_basis``."""
