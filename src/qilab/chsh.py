@@ -20,12 +20,6 @@ TSIRELSON = 2 * math.sqrt(2)
 OPTIMAL_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
 
 
-def measurement_basis(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotated qubit basis: phi_0 = cos t |0> + sin t |1>, phi_1 orthogonal."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex))
-
-
 @dataclass(frozen=True)
 class DeterministicStrategy:
     """Fixed answers a_r, b_s for each question pair."""
@@ -66,8 +60,8 @@ def _win_probabilities(angles: np.ndarray, psi: np.ndarray) -> np.ndarray:
     ``angles`` has shape (S, 4) (alice0, alice1, bob0, bob1) and ``psi``
     shape (S, 2, 2), each row a normalized two-qubit amplitude matrix.  The
     amplitude of answers (a, b) on questions (r, s) is
-    <phi_a(alice_r)| psi |phi_b(bob_s)>* with the rotated bases of
-    `measurement_basis`, which are real.
+    <phi_a(alice_r)| psi |phi_b(bob_s)>* with the real rotated bases
+    phi_0(t) = cos t |0> + sin t |1>, phi_1(t) = -sin t |0> + cos t |1>.
     """
     c, s = np.cos(angles), np.sin(angles)
     # bases[x, i, a, :] is basis vector a of angle i of strategy x
@@ -77,17 +71,15 @@ def _win_probabilities(angles: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def chsh_classical_optimum() -> tuple[float, list[DeterministicStrategy]]:
-    """Exhaust the 16 deterministic strategies; 8 of them reach 3/4."""
-    best = 0.0
-    achievers = []
-    for bits in itertools.product((0, 1), repeat=4):
-        s = DeterministicStrategy((bits[0], bits[1]), (bits[2], bits[3]))
-        v = s.win_probability()
-        if v > best + 1e-15:
-            best, achievers = v, [s]
-        elif abs(v - best) <= 1e-15:
-            achievers.append(s)
-    return best, achievers
+    """Exhaust the 16 deterministic strategies; 8 of them reach 3/4.
+
+    Each value is an exact multiple of 1/4, so the achievers are found by equality.
+    """
+    strategies = [DeterministicStrategy(bits[:2], bits[2:])
+                  for bits in itertools.product((0, 1), repeat=4)]
+    values = [s.win_probability() for s in strategies]
+    best = max(values)
+    return best, [s for s, v in zip(strategies, values) if v == best]
 
 
 def optimal_strategy() -> QuantumStrategy:

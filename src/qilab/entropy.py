@@ -175,15 +175,6 @@ def _iter_types(n: int, d: int):
         size[k:] = [size[k - 1]] * (d - k)
 
 
-def _log2_bigint(x: int) -> float:
-    if x <= 0:
-        raise ValueError("log2 of nonpositive integer")
-    b = x.bit_length()
-    if b <= 900:
-        return math.log2(x)
-    return (b - 900) + math.log2(x >> (b - 900))
-
-
 def typical_set(p: Sequence[float], n: int, delta: float,
                 mc_samples: int = 20000, seed: int = 0) -> TypicalSetReport:
     """The set of n-strings with empirical log-likelihood within delta of H(p).
@@ -222,7 +213,7 @@ def typical_set(p: Sequence[float], n: int, delta: float,
         probs = [math.prod(x**c for x, c in zip(p, t)) for t in types[hit]]
         mass = float(np.cumsum(sizes[hit] * probs)[-1]) if probs else 0.0
         size = int(sizes[hit].sum())
-        log_size = _log2_bigint(size) if size else -math.inf
+        log_size = math.log2(size) if size else -math.inf
         return TypicalSetReport(n, delta, h, n * (h + delta), mass, None, log_size, is_typical)
 
     rng = np.random.default_rng(seed)
@@ -322,6 +313,6 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
         r = int(rng.integers(0, 2**63))
         first, size = below[t]
         rank = first + (size * r >> 63)
-        if rank == 0 or _log2_bigint(rank) < n_rate:
+        if rank == 0 or math.log2(rank) < n_rate:
             successes += 1
     return CompressionReport(n, rate, trials, successes)

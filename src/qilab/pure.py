@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import _log2_bigint, shannon_entropy
+from .entropy import shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
 from .tensor import _amplitude_matrix, tensor
 
@@ -102,9 +102,7 @@ def teleport(psi: PureState, seed: int | None = None,
     else:
         rng = np.random.default_rng(seed)
         outcome = int(rng.choice(4, p=probs / probs.sum()))
-    p = probs[outcome]
-    if p < 1e-12:
-        raise ValueError(f"outcome {outcome} has probability ~0")
+    p = probs[outcome]  # every outcome has probability 1/4
     v = residues[outcome] / math.sqrt(p)
     fixed = np.einsum("rB,bB->rb", v, _CORRECTIONS[outcome]).reshape(-1)
     out_dims = bys + (2,) if bys else (2,)
@@ -139,7 +137,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
         raise ValueError("spectrum must be a probability distribution")
     rng = np.random.default_rng(seed)
     size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in rng.multinomial(n, p))
-    return _log2_bigint(size) if size > 1 else 0.0
+    return math.log2(size)
 
 
 def dilution_rank_bound(psi: PureState, cut: Sequence[int] | int,
@@ -178,25 +176,21 @@ def slocc_apply(ops: Sequence[np.ndarray], psi: PureState) -> PureState:
 
 
 def hyperdeterminant(psi: PureState) -> complex:
-    """Cayley hyperdeterminant of a three-qubit amplitude tensor."""
+    """Cayley hyperdeterminant of a three-qubit amplitude tensor.
+
+    It is the discriminant b^2 - 4ac of det(A_0 + x A_1) = c + b x + a x^2,
+    where A_i is the 2x2 slice of the tensor at first index i.
+    """
     if psi.dims != (2, 2, 2):
         raise ValueError("hyperdeterminant is defined for three qubits")
-    t = psi.amps.reshape(2, 2, 2)
+    a0, a1 = psi.amps.reshape(2, 2, 2)
 
-    def a(i, j, k):
-        return t[i, j, k]
+    def det(m):
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
-    d1 = (a(0, 0, 0) ** 2 * a(1, 1, 1) ** 2 + a(0, 0, 1) ** 2 * a(1, 1, 0) ** 2
-          + a(0, 1, 0) ** 2 * a(1, 0, 1) ** 2 + a(1, 0, 0) ** 2 * a(0, 1, 1) ** 2)
-    d2 = (a(0, 0, 0) * a(1, 1, 1) * a(0, 1, 1) * a(1, 0, 0)
-          + a(0, 0, 0) * a(1, 1, 1) * a(1, 0, 1) * a(0, 1, 0)
-          + a(0, 0, 0) * a(1, 1, 1) * a(1, 1, 0) * a(0, 0, 1)
-          + a(0, 1, 1) * a(1, 0, 0) * a(1, 0, 1) * a(0, 1, 0)
-          + a(0, 1, 1) * a(1, 0, 0) * a(1, 1, 0) * a(0, 0, 1)
-          + a(1, 0, 1) * a(0, 1, 0) * a(1, 1, 0) * a(0, 0, 1))
-    d3 = (a(0, 0, 0) * a(1, 1, 0) * a(1, 0, 1) * a(0, 1, 1)
-          + a(1, 1, 1) * a(0, 0, 1) * a(0, 1, 0) * a(1, 0, 0))
-    return d1 - 2 * d2 + 4 * d3
+    c, a = det(a0), det(a1)
+    b = det(a0 + a1) - (a + c)
+    return b * b - 4 * a * c
 
 
 def classify_three_qubit(psi: PureState) -> SloccClass:
@@ -259,10 +253,7 @@ def three_qubit_state_from_spectra(lmax: Sequence[float]) -> PureState:
     coeffs = [a2, l1 - a2, l2 - a2, l3 - a2]
     coeffs = [max(x, 0.0) for x in coeffs]
     amps = np.zeros(8, dtype=complex)
-    amps[0b000] = math.sqrt(coeffs[0])
-    amps[0b011] = math.sqrt(coeffs[1])
-    amps[0b101] = math.sqrt(coeffs[2])
-    amps[0b110] = math.sqrt(coeffs[3])
+    amps[[0b000, 0b011, 0b101, 0b110]] = np.sqrt(coeffs)
     amps /= np.linalg.norm(amps)
     return PureState(amps, (2, 2, 2))
 
@@ -276,8 +267,5 @@ def w_polytope_check(lmax: Sequence[float]) -> bool:
 
 
 def largest_marginal_eigenvalues(psi: PureState) -> tuple[float, float, float]:
-    out = []
-    for k in range(len(psi.dims)):
-        vals = np.linalg.eigvalsh(psi.marginal([k]).mat)
-        out.append(float(vals[-1]))
-    return tuple(out)  # type: ignore[return-value]
+    return tuple(float(np.linalg.eigvalsh(psi.marginal([k]).mat)[-1])  # type: ignore[return-value]
+                 for k in range(len(psi.dims)))

@@ -17,6 +17,7 @@ from .tensor import (
     _as_matrix,
     _check_dims,
     _check_size,
+    _checked_amplitudes,
     _checked_power,
     hermitian_eig,
     partial_transpose,
@@ -186,9 +187,10 @@ def k_extendibility(rho: DensityMatrix, k: int,
 def slater_state(d: int) -> PureState:
     """The d-party Slater determinant state (1/sqrt(d!)) sum sgn(pi) |pi>,
     sgn from the inversion count, |pi> at the base-d number pi spells."""
+    size = _checked_amplitudes(d, d)
     perms = np.array(list(itertools.permutations(range(d))), dtype=int)
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
-    amps = np.zeros(d**d, dtype=complex)
+    amps = np.zeros(size, dtype=complex)
     amps[perms @ d ** np.arange(d - 1, -1, -1)] = 1 - 2 * (inversions % 2)
     amps /= math.sqrt(math.factorial(d))
     return PureState(amps, (d,) * d)

@@ -51,7 +51,8 @@ def matrix_from_json(obj: dict[str, Any]) -> tuple[np.ndarray, tuple[int, ...] |
         raise FormatError(f"bad matrix object: {exc}") from exc
     if re.size != rows * cols or im.size != rows * cols:
         raise FormatError("re/im length does not match rows*cols")
-    return (re + 1j * im).reshape(rows, cols), dims
+    # (re, im) pairs viewed as complex; re + 1j * im would turn a real part -0.0 into 0.0
+    return np.stack([re, im], axis=-1).view(complex).reshape(rows, cols), dims
 
 
 def state_to_json(psi: PureState) -> dict[str, Any]:
@@ -71,7 +72,7 @@ def state_from_json(obj: dict[str, Any]) -> PureState:
     if re.size != im.size:
         raise FormatError("amps_re/amps_im length mismatch")
     try:
-        return PureState(re + 1j * im, dims)
+        return PureState(np.stack([re, im], axis=-1).view(complex), dims)  # keeps signed zeros
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -11,12 +11,13 @@ from .tensor import (
     _amplitude_matrix,
     _check_dims,
     _check_size,
+    _checked_amplitudes,
     _psd_sqrt,
+    _strict_int,
     hermitian_eig,
     is_hermitian,
     partial_trace,
     swap_operator,
-    tensor,
 )
 
 PSD_TOL = 1e-9
@@ -233,10 +234,10 @@ class NaimarkDilation:
     ancilla_dim: int
 
     def probabilities(self, rho: DensityMatrix) -> np.ndarray:
-        anc = np.zeros((self.ancilla_dim, self.ancilla_dim), dtype=complex)
-        anc[0, 0] = 1.0
-        big = tensor(rho.mat, anc)
-        return np.array([np.trace(p @ big).real for p in self.projectors])
+        """tr P_i (rho x |0><0|), which is tr(P_i[::m, ::m] rho): rho x |0><0| is
+        zero off the rows and columns of ancilla value 0, every m-th one."""
+        m = self.ancilla_dim
+        return np.array([np.trace(p[::m, ::m] @ rho.mat).real for p in self.projectors])
 
 
 def naimark_dilate(povm: Povm) -> NaimarkDilation:
@@ -279,26 +280,23 @@ def quantum_instrument(channel: KrausChannel, rho: DensityMatrix) -> list[tuple[
     return branches
 
 
-def unitary_channel(u: np.ndarray) -> KrausChannel:
-    return KrausChannel((np.asarray(u, dtype=complex),))
-
-
 def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
-    """Kraus form of rho -> (1-p) rho + p I/d, for p in [0, 1]."""
+    """Kraus form of rho -> (1-p) rho + p I/d, for p in [0, 1].
+
+    The Kraus operators are the Weyl operators X^a Z^b, with X^a|j> = |j+a mod d>
+    and Z^b|j> = w^{bj}|j> for w = e^{2 pi i/d}: the identity weighted
+    sqrt(1 - p + p/d^2) and the other d^2 - 1 weighted sqrt(p)/d.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     _check_size(d * d)  # d^2 Kraus operators
-    # Heisenberg-Weyl shift/clock basis gives a Kraus set in any dimension.
-    omega = np.exp(2j * np.pi / d)
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(omega ** np.arange(d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            w = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            coeff = math.sqrt(1 - p + p / d**2) if (a, b) == (0, 0) else math.sqrt(p) / d
-            ops.append(coeff * w)
-    return KrausChannel(tuple(ops))
+    j = np.arange(d)
+    a, b = j[:, None, None], j[None, :, None]
+    ops = np.zeros((d, d, d, d), dtype=complex)  # ops[a, b] = X^a Z^b
+    ops[a, b, (j + a) % d, j] = np.exp(2j * np.pi * (b * j % d) / d)
+    ops *= math.sqrt(p) / d
+    ops[0, 0] = math.sqrt(1 - p + p / d**2) * np.eye(d)
+    return KrausChannel(tuple(ops.reshape(d * d, d, d)))
 
 
 def pauli_rotation(axis: Sequence[float], angle: float) -> np.ndarray:
@@ -350,9 +348,8 @@ def bell_basis() -> list[PureState]:
 
 def phi_plus(d: int = 2) -> PureState:
     """Maximally entangled state sum_i |ii>/sqrt(d)."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
+    v = np.zeros(_checked_amplitudes(d, 2), dtype=complex)
+    v[:: d + 1] = 1.0
     return PureState(v / math.sqrt(d), (d, d))
 
 
@@ -393,25 +390,6 @@ def noisy_epr(p: float) -> DensityMatrix:
     return DensityMatrix(p * phi + (1 - p) * np.eye(4) / 4, (2, 2))
 
 
-def standard_state(name: str, **params):
-    """Lookup by name; see the zoo functions for the available states."""
-    zoo = {
-        "phi_plus": lambda: bell_basis()[0],
-        "phi_minus": lambda: bell_basis()[1],
-        "psi_plus": lambda: bell_basis()[2],
-        "psi_minus": lambda: bell_basis()[3],
-        "ghz": ghz_state,
-        "w": w_state,
-        "maximally_mixed": lambda: maximally_mixed(int(params.get("d", 2))),
-        "werner_symmetric": lambda: werner_symmetric(int(params.get("d", 2))),
-        "werner_antisymmetric": lambda: werner_antisymmetric(int(params.get("d", 2))),
-        "noisy_epr": lambda: noisy_epr(float(params["p"])),
-    }
-    if name not in zoo:
-        raise KeyError(f"unknown state {name!r}; choose from {sorted(zoo)}")
-    return zoo[name]()
-
-
 def tetrahedron_povm() -> Povm:
     """Four-outcome qubit POVM from tetrahedron Bloch vectors."""
     verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
@@ -426,7 +404,7 @@ def tetrahedron_povm() -> Povm:
 def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> PureState:
     if isinstance(dims, (int, np.integer)):
         dims = (int(dims),)
-    d = int(np.prod(dims))
+    d = _checked_amplitudes(math.prod(_strict_int(x) for x in dims))
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v), tuple(dims))
 

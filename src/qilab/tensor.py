@@ -39,6 +39,15 @@ def _checked_power(d: int, n: int) -> int:
     return dim
 
 
+def _checked_amplitudes(d: int, n: int = 1) -> int:
+    """d**n amplitudes if at most SIZE_CAP**2, the entry count of the largest
+    operator; a state vector is refused before it is built, a huge n before d**n."""
+    if (d >= 2 and n > 2 * SIZE_CAP.bit_length()) or d**n > SIZE_CAP**2:
+        size = f"{d}^{n}" if n != 1 else d
+        raise ValueError(f"state of {size} amplitudes exceeds cap {SIZE_CAP}^2")
+    return d**n
+
+
 def _strict_int(x) -> int:
     """``x`` as an int if it is an int or an integral float (not a bool), else ValueError."""
     if isinstance(x, (bool, np.bool_)) or not (isinstance(x, (int, np.integer)) or (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qilab as q
-from qilab.chsh import DeterministicStrategy, QuantumStrategy, _win_probabilities, measurement_basis
+from qilab.chsh import DeterministicStrategy, QuantumStrategy, _win_probabilities
 
 RNG = np.random.default_rng(17)
 
@@ -79,6 +79,12 @@ def test_optimizer_product_state_recovers_classical():
 def test_quantum_strategy_requires_two_qubits():
     with pytest.raises(ValueError):
         QuantumStrategy(q.random_pure_state((2, 2, 2), RNG), (0, 0, 0, 0)).win_probability()
+
+
+def measurement_basis(theta):
+    """Rotated qubit basis: phi_0 = cos t |0> + sin t |1>, phi_1 orthogonal."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex))
 
 
 def win_probability_by_questions(angles, psi):

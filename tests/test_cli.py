@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qilab as q
@@ -52,6 +52,46 @@ def test_serialize_roundtrips():
     assert np.allclose(state_from_json(state_to_json(psi)).amps, psi.amps)
     with pytest.raises(FormatError):
         matrix_from_json({"rows": 2, "cols": 2, "re": [1], "im": [0]})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4), with_dims=st.booleans())
+def test_matrix_json_round_trip_is_bit_exact(data, rows, cols, with_dims):
+    entries = data.draw(st.lists(st.tuples(finite, finite), min_size=rows * cols, max_size=rows * cols))
+    m = np.array([complex(re, im) for re, im in entries]).reshape(rows, cols)
+    dims = (rows,) if with_dims else None
+    back, back_dims = matrix_from_json(json.loads(json.dumps(matrix_to_json(m, dims))))
+    assert bits(back) == bits(m) and back_dims == dims
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3), data=st.data())
+def test_state_json_round_trip_is_bit_exact(dims, data):
+    size = math.prod(dims)
+    entries = data.draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                                 min_size=size, max_size=size))
+    v = np.array([complex(re, im) for re, im in entries])
+    assume(np.linalg.norm(v) > 0.1)
+    amps = np.empty(size, dtype=complex)  # scaled part by part, so signed zeros stay
+    amps.real, amps.imag = v.real / np.linalg.norm(v), v.imag / np.linalg.norm(v)
+    psi = q.PureState(amps, dims)
+    back = state_from_json(json.loads(json.dumps(state_to_json(psi))))
+    assert bits(back.amps) == bits(psi.amps) and back.dims == psi.dims
+
+
+def test_json_round_trip_keeps_signed_zeros():
+    m = np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0)], [complex(0.0, -0.0), 1.0]])
+    back, _ = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert bits(back) == bits(m)
+    psi = q.PureState(np.array([complex(-0.0, 1.0), complex(-0.0, 0.0)]))
+    assert bits(state_from_json(state_to_json(psi)).amps) == bits(psi.amps)
 
 
 def test_cli_ppt_and_exit_codes(tmp_path, capsys):

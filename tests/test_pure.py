@@ -104,6 +104,40 @@ def test_hyperdeterminant_values():
         q.hyperdeterminant(q.phi_plus())
 
 
+def hyperdeterminant_by_monomials(psi):
+    """Cayley's hyperdeterminant written out as its 12 monomials in the amplitudes."""
+    t = psi.amps.reshape(2, 2, 2)
+
+    def a(i, j, k):
+        return t[i, j, k]
+
+    d1 = (a(0, 0, 0) ** 2 * a(1, 1, 1) ** 2 + a(0, 0, 1) ** 2 * a(1, 1, 0) ** 2
+          + a(0, 1, 0) ** 2 * a(1, 0, 1) ** 2 + a(1, 0, 0) ** 2 * a(0, 1, 1) ** 2)
+    d2 = (a(0, 0, 0) * a(1, 1, 1) * a(0, 1, 1) * a(1, 0, 0)
+          + a(0, 0, 0) * a(1, 1, 1) * a(1, 0, 1) * a(0, 1, 0)
+          + a(0, 0, 0) * a(1, 1, 1) * a(1, 1, 0) * a(0, 0, 1)
+          + a(0, 1, 1) * a(1, 0, 0) * a(1, 0, 1) * a(0, 1, 0)
+          + a(0, 1, 1) * a(1, 0, 0) * a(1, 1, 0) * a(0, 0, 1)
+          + a(1, 0, 1) * a(0, 1, 0) * a(1, 1, 0) * a(0, 0, 1))
+    d3 = (a(0, 0, 0) * a(1, 1, 0) * a(1, 0, 1) * a(0, 1, 1)
+          + a(1, 1, 1) * a(0, 0, 1) * a(0, 1, 0) * a(1, 0, 0))
+    return d1 - 2 * d2 + 4 * d3
+
+
+def test_hyperdeterminant_matches_monomial_expansion():
+    rng = np.random.default_rng(12)
+    states = [q.random_pure_state((2, 2, 2), rng) for _ in range(1000)]
+    for base in (q.ghz_state(), q.w_state()):
+        states.append(base)
+        for _ in range(50):  # SLOCC images: invertible complex local operators
+            ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+            states.append(q.slocc_apply(ops, base))
+    for psi in states:
+        want = hyperdeterminant_by_monomials(psi)
+        assert abs(q.hyperdeterminant(psi) - want) <= 1e-12 * abs(want) + 1e-15
+    assert q.hyperdeterminant(q.w_state()) == 0
+
+
 def _embed_pair(pair_amps, lone, arrangement):
     """Three-qubit state with an entangled pair at the given two slots."""
     t = np.zeros((2, 2, 2), dtype=complex)

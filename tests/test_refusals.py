@@ -1,0 +1,139 @@
+"""Refusals and borderline verdicts that the module tests do not reach.
+
+Each refusal is a call that must raise ValueError (FormatError is one) with
+the given message; the verdicts pin where a solver or classifier declines
+to decide.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+import qilab as q
+from qilab.cli import main
+from qilab.serialize import matrix_to_json
+from qilab.tensor import trace_distance, trace_norm
+
+QUTRIT = np.eye(3) / 3
+
+# name: (call, expected message)
+REFUSALS = {
+    # tensor
+    "tensor()": (lambda: q.tensor(), "at least one operand"),
+    "trace_norm(vector)": (lambda: trace_norm(np.ones(3)), "expected a matrix"),
+    "trace_distance(shape mismatch)": (lambda: trace_distance(np.eye(2) / 2, QUTRIT), "shape mismatch"),
+    # states
+    "DensityMatrix(non-square)": (lambda: q.DensityMatrix(np.ones((2, 3)) / 2), "must be square"),
+    "Povm(empty)": (lambda: q.Povm(()), "at least one element"),
+    "Povm(mixed shapes)": (lambda: q.Povm((np.eye(2), np.eye(3))), "one square shape"),
+    "Povm(non-Hermitian)": (lambda: q.Povm((np.array([[1, 1], [0, 0]]), np.array([[0, -1], [0, 1]]))),
+                            "not Hermitian"),
+    "Povm(non-PSD)": (lambda: q.Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0]))), "not PSD"),
+    "KrausChannel(empty)": (lambda: q.KrausChannel(()), "at least one Kraus operator"),
+    "KrausChannel(mixed shapes)": (lambda: q.KrausChannel((np.eye(2), np.eye(3))), "share one shape"),
+    "from_ensemble(count mismatch)": (lambda: q.from_ensemble([0.5, 0.5], [q.phi_plus()]),
+                                      "count mismatch"),
+    "from_ensemble(mixed spaces)": (lambda: q.from_ensemble([0.5, 0.5], [q.phi_plus(), q.ghz_state()]),
+                                    "different spaces"),
+    "born_probabilities(dimension mismatch)": (
+        lambda: q.born_probabilities(q.DensityMatrix(QUTRIT), q.tetrahedron_povm()), "dimension mismatch"),
+    "apply_channel(dimension mismatch)": (
+        lambda: q.apply_channel(q.depolarizing_channel(0.5), q.DensityMatrix(QUTRIT)), "dimension mismatch"),
+    "quantum_instrument(dimension mismatch)": (
+        lambda: q.quantum_instrument(q.depolarizing_channel(0.5), q.DensityMatrix(QUTRIT)),
+        "dimension mismatch"),
+    "depolarizing_channel(p > 1)": (lambda: q.depolarizing_channel(1.5), r"outside \[0, 1\]"),
+    "noisy_epr(p < 0)": (lambda: q.noisy_epr(-0.1), r"outside \[0, 1\]"),
+    "bloch_vector(qutrit)": (lambda: q.bloch_vector(q.DensityMatrix(QUTRIT)), "qubits only"),
+    "werner_antisymmetric(1)": (lambda: q.werner_antisymmetric(1), "needs d >= 2"),
+    # entropy
+    "binary_entropy(1.5)": (lambda: q.binary_entropy(1.5), r"outside \[0, 1\]"),
+    "binary_relative_entropy(1.5, 0.5)": (lambda: q.binary_relative_entropy(1.5, 0.5), r"in \[0, 1\]"),
+    "information_measures(one party)": (
+        lambda: q.information_measures(q.ghz_state().density(), [[0, 1, 2]]), "two or three parties"),
+    "information_measures(overlapping parties)": (
+        lambda: q.information_measures(q.ghz_state().density(), [[0, 1], [1, 2]]), "parties overlap"),
+    # pure
+    "teleport(force_outcome=4)": (lambda: q.teleport(q.PureState(np.array([1, 0])), force_outcome=4),
+                                  r"outcome must be in 0\.\.3"),
+    "unconditioned_bob_state(two qubits)": (lambda: q.unconditioned_bob_state(q.phi_plus()),
+                                            "single-qubit message"),
+    "dilution_rank_bound(n=0)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 0, 0.1), "n >= 1"),
+    "dilution_rank_bound(delta<0)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 10, -0.1),
+                                     "delta >= 0"),
+    "slocc_apply(two operators, three qubits)": (lambda: q.slocc_apply([np.eye(2)] * 2, q.ghz_state()),
+                                                 "one operator per subsystem"),
+    "w_polytope_check(two values)": (lambda: q.w_polytope_check([1.0, 1.0]), "three largest eigenvalues"),
+    # schur
+    "symmetric_purification(unequal subsystems)": (
+        lambda: q.symmetric_purification(q.DensityMatrix(np.eye(6) / 6, (2, 3))), "equal subsystems"),
+    "spin_multiplicity_bound(j > n/2)": (lambda: q.spin_multiplicity_bound(4, 3), "out of range"),
+    "keyl_werner_estimate([])": (lambda: q.keyl_werner_estimate([], 4), "at least one outcome"),
+    # separability, serialize, chsh
+    "bcy_inequality_check(three parties)": (
+        lambda: q.bcy_inequality_check(q.ghz_state().density(), np.eye(8), 2), "bipartite"),
+    "matrix_to_json(vector)": (lambda: matrix_to_json(np.ones(3)), "2-dimensional"),
+    # squares to the identity but is not Hermitian
+    "bell_operator(non-Hermitian involution)": (
+        lambda: q.bell_operator(np.array([[0, 2], [0.5, 0]]), np.eye(2), np.eye(2), np.eye(2)),
+        "must be Hermitian"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refused(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_kraus_channel_output_dimension():
+    isometry = np.eye(3)[:, :2]  # C^2 -> C^3
+    ch = q.KrausChannel((isometry,))
+    assert (ch.dim_in, ch.dim_out) == (2, 3)
+
+
+def test_spin_multiplicity_is_zero_off_the_allowed_spins():
+    assert q.spin_multiplicity(3, 1) == 0  # n - 2j odd
+    assert q.spin_multiplicity(2, 2) == 0  # j > n/2
+    assert q.spin_multiplicity(2, 1) == 1
+
+
+def test_k_extendibility_stops_on_a_flat_small_plateau():
+    # just above the k = 2 threshold 2/3 the residual flattens out near 4.5e-5,
+    # below the 1e-4 gap that would count as evidence of infeasibility
+    rep = q.k_extendibility(q.noisy_epr(2 / 3 + 1e-4), 2)
+    assert rep.status is q.FeasStatus.UNDETERMINED
+    assert rep.iterations == 146
+    assert rep.residual == pytest.approx(4.52e-5, rel=1e-3)
+
+
+def test_classify_three_qubit_declines_inside_both_bands():
+    # a marginal eigenvalue eps = 1e-7 lies in the rank band [1e-8, 1e-6]
+    eps = 1e-7
+    amps = np.zeros(8, dtype=complex)
+    amps[0b000], amps[0b111] = math.sqrt(1 - eps), math.sqrt(eps)
+    assert q.classify_three_qubit(q.PureState(amps, (2, 2, 2))) is q.SloccClass.UNDETERMINED
+    # |001> + |010> + |100> + t|111>, normalised, has |hyperdet| ~ 4t/9 = 1e-9
+    t = 2.25e-9
+    amps = np.zeros(8, dtype=complex)
+    amps[[0b001, 0b010, 0b100]], amps[0b111] = 1, t
+    psi = q.PureState(amps / np.linalg.norm(amps), (2, 2, 2))
+    assert abs(q.hyperdeterminant(psi)) == pytest.approx(4 * t / 9, rel=1e-6)
+    assert q.classify_three_qubit(psi) is q.SloccClass.UNDETERMINED
+
+
+def test_cli_compress_refuses_p0_outside_the_unit_interval(capsys):
+    assert main(["compress", "--p0", "1.5", "--n", "10", "--rate", "0.5", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "p0 must lie strictly inside (0, 1)" in captured.err
+
+
+def test_cli_timing_adds_elapsed_ms_and_nothing_else(capsys):
+    assert main(["chsh"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["--timing", "chsh"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert timed.pop("elapsed_ms") >= 0
+    assert timed == plain

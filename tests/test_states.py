@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -167,6 +168,56 @@ def test_naimark_dilation_reproduces_statistics():
         assert np.array_equal(q.naimark_dilate(povm).unitary, u)  # deterministic
 
 
+def dilation_probabilities_on_full_space(dil, rho):
+    """tr P_i (rho x |0><0|) with the system-ancilla operator built out."""
+    anc = np.zeros((dil.ancilla_dim, dil.ancilla_dim), dtype=complex)
+    anc[0, 0] = 1.0
+    big = tensor(rho.mat, anc)
+    return np.array([np.trace(p @ big).real for p in dil.projectors])
+
+
+def test_dilation_probabilities_match_the_full_space_and_born_rule():
+    for povm in (q.tetrahedron_povm(), qutrit_povm()):
+        dil = q.naimark_dilate(povm)
+        for _ in range(10):
+            rho = q.random_density_matrix(povm.dim, RNG)
+            got = dil.probabilities(rho)
+            assert np.max(np.abs(got - dilation_probabilities_on_full_space(dil, rho))) < 1e-14
+            assert np.max(np.abs(got - q.born_probabilities(rho, povm))) < 1e-12
+
+
+def depolarizing_kraus_by_matrix_powers(p, d):
+    """The Weyl Kraus set as products of powers of the shift and clock matrices."""
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(omega ** np.arange(d))
+    ops = []
+    for a in range(d):
+        for b in range(d):
+            w = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            coeff = math.sqrt(1 - p + p / d**2) if (a, b) == (0, 0) else math.sqrt(p) / d
+            ops.append(coeff * w)
+    return ops
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+def test_depolarizing_kraus_set_matches_matrix_powers(p, d):
+    got = q.depolarizing_channel(p, d).kraus
+    want = depolarizing_kraus_by_matrix_powers(p, d)
+    assert len(got) == d * d
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-14
+
+
+@pytest.mark.parametrize("module, name", [
+    ("qilab", "standard_state"), ("qilab.states", "standard_state"),
+    ("qilab", "unitary_channel"), ("qilab.states", "unitary_channel"),
+    ("qilab.chsh", "measurement_basis"),
+])
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_depolarizing_channel_action(d):
     ch = q.depolarizing_channel(0.37, d)
@@ -214,9 +265,6 @@ def test_state_zoo():
     assert np.allclose(ghz_m, np.eye(2) / 2)
     w_m = q.w_state().marginal([0]).mat
     assert np.allclose(w_m, np.diag([2 / 3, 1 / 3]))
-    assert q.standard_state("noisy_epr", p=0.1).dims == (2, 2)
-    with pytest.raises(KeyError):
-        q.standard_state("nope")
 
 
 @pytest.mark.parametrize("keep", [[0], [2, 0], [1, 1, 3], [3, 1, 0, 2], []])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from qilab.tensor import (
     EigDecomposition,
     _check_dims,
     _check_size,
+    _checked_amplitudes,
+    _checked_power,
     _strict_int,
     hermitian_eig,
     is_hermitian,
@@ -189,6 +192,69 @@ def test_size_guard_refuses_before_allocating(name):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# each builder of a state vector of more than 4096^2 amplitudes, as (function, *args)
+OVERSIZED_STATES = {
+    "phi_plus": lambda: (q.phi_plus, 30000),
+    # an int64 product of these dims wraps round to 2^31
+    "random_pure_state": lambda: (q.random_pure_state, (2**31, 2**33 + 1), np.random.default_rng(0)),
+    "slater_state": lambda: (q.slater_state, 9),
+    "slater_state(10^6)": lambda: (q.slater_state, 10**6),  # refused before 10^6 ** 10^6 is formed
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_STATES))
+def test_state_size_guard_refuses_before_allocating(name):
+    assert _checked_amplitudes(SIZE_CAP, 2) == SIZE_CAP**2  # the cap itself is allowed
+    fn, *args = OVERSIZED_STATES[name]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"exceeds cap 4096\^2"):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(0, 70), n=st.integers(0, 30))
+def test_checked_power_accepts_exactly_the_powers_within_the_cap(d, n):
+    if d**n <= SIZE_CAP:
+        assert _checked_power(d, n) == d**n
+    else:
+        with pytest.raises(ValueError, match="exceeds cap 4096"):
+            _checked_power(d, n)
+
+
+def test_checked_power_boundaries():
+    assert _checked_power(2, 12) == 4096
+    with pytest.raises(ValueError, match="exceeds cap 4096"):
+        _checked_power(2, 13)
+    # forming (10^6)^(10^6) would take minutes and megabytes; it is refused at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap 4096"):
+        _checked_power(10**6, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert _checked_power(1, 10**18) == 1
+    assert _checked_amplitudes(1, 10**18) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), data=st.data())
+def test_partial_transpose_matches_einsum(dims, data):
+    n = len(dims)
+    subs = data.draw(st.sets(st.integers(0, n - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = math.prod(dims)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    # row label i, column label n + i; a transposed subsystem swaps its two labels
+    rows, cols = list(range(n)), list(range(n, 2 * n))
+    out = [cols[i] if i in subs else rows[i] for i in range(n)] + \
+          [rows[i] if i in subs else cols[i] for i in range(n)]
+    want = np.einsum(m.reshape(dims + dims), rows + cols, out).reshape(dim, dim)
+    assert np.array_equal(partial_transpose(m, dims, subs), want)
 
 
 def test_bad_inputs():
