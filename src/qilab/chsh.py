@@ -28,11 +28,8 @@ class DeterministicStrategy:
     b: tuple[int, int]
 
     def win_probability(self) -> float:
-        wins = sum(
-            1 for r, s in itertools.product((0, 1), repeat=2)
-            if (self.a[r] ^ self.b[s]) == (r & s)
-        )
-        return wins / 4
+        r, s = np.indices((2, 2))
+        return float(_WIN[r, s, np.take(self.a, r), np.take(self.b, s)].mean())
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import _checked_power, basis_digits, hermitian_eig, trace_norm
+from .tensor import _checked_dim, _strict_int, basis_digits, hermitian_eig, trace_norm
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -205,7 +205,7 @@ def typical_set(p: Sequence[float], n: int, delta: float,
             raise ValueError(f"expected a string of {n} integer symbols in 0..{d - 1}")
         return bool(typical(np.bincount(xs, minlength=d)))
 
-    # n is bounded before d**n is formed, as in tensor._checked_power
+    # n is bounded before d**n is formed, as in tensor._checked_dim
     if (d < 2 or n <= ENUMERATION_CAP.bit_length()) and d**n <= ENUMERATION_CAP:
         types, sizes = (np.array(a) for a in zip(*_iter_types(n, d)))
         hit = typical(types)  # a count on a zero-probability symbol makes ll infinite
@@ -243,12 +243,13 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     is the eigenbasis of rho.  Only feasible for d^n within the operator
     size cap.
     """
+    n = _strict_int(n)
     if n < 1:
         raise ValueError("block length n must be at least 1")
     if not delta > 0:  # also rejects NaN
         raise ValueError("need delta > 0")
     d = rho.dim
-    _checked_power(d, n)
+    _checked_dim(d, n)
     eig = hermitian_eig(rho.mat)
     s = _spectrum_entropy(eig.eigenvalues)
     logs = np.array([-math.log2(v) if v > 1e-15 else math.inf for v in eig.eigenvalues])

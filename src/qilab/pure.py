@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .entropy import shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
-from .tensor import _amplitude_matrix, tensor
+from .tensor import _amplitude_matrix, _strict_int, _subsystems, tensor
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -39,15 +39,13 @@ class SchmidtDecomposition:
 
 def schmidt(psi: PureState, cut: Sequence[int] | int) -> SchmidtDecomposition:
     """Schmidt decomposition across the bipartition (cut | rest)."""
-    if isinstance(cut, (int, np.integer)):
-        cut = tuple(range(int(cut)))
-    cut = tuple(sorted(set(int(c) for c in cut)))
     n = len(psi.dims)
-    if not cut or len(cut) == n or any(c < 0 or c >= n for c in cut):
-        raise ValueError(f"cut {cut} is not a proper bipartition of {n} subsystems")
+    cut = _subsystems(cut if isinstance(cut, Iterable) else range(_strict_int(cut)), n)
+    if not cut or len(cut) == n:
+        raise ValueError(f"cut {tuple(cut)} is not a proper bipartition of {n} subsystems")
     mat = _amplitude_matrix(psi.amps, psi.dims, cut)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtDecomposition(s, u, vh.T, cut, psi.dims)
+    return SchmidtDecomposition(s, u, vh.T, tuple(cut), psi.dims)
 
 
 def entanglement_entropy(psi: PureState, cut: Sequence[int] | int) -> float:

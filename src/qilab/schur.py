@@ -13,7 +13,7 @@ import numpy as np
 
 from .entropy import binary_relative_entropy
 from .states import DensityMatrix, PureState
-from .tensor import _check_size, _checked_power, _psd_sqrt, basis_digits
+from .tensor import _checked_dim, _psd_sqrt, _strict_int, basis_digits
 
 
 def symmetric_dimension(d: int, n: int) -> int:
@@ -30,9 +30,8 @@ def symmetric_projector(d: int, n: int) -> np.ndarray:
     from their digits, and each type's constant 1/C(n; t) block is written
     in place, so the work is the sum of the squared class sizes.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    dim = _checked_power(d, n)
+    d, n = _strict_int(d), _strict_int(n)
+    dim = _checked_dim(d, n)
     # a string's sorted digits name its type
     types, type_of = np.unique(np.sort(basis_digits(d, n), axis=0), axis=1,
                                return_inverse=True)
@@ -71,7 +70,7 @@ def symmetric_purification(rho: DensityMatrix) -> PureState:
     if len(set(dims)) != 1 or len(dims) < 2:
         raise ValueError("state must live on n >= 2 equal subsystems")
     d, n = dims[0], len(dims)
-    _check_size(rho.dim)
+    _checked_dim(rho.dim)
     # invariance check on adjacent transpositions (they generate S_n),
     # applied to the row and column axes of the tensor together, within 1e-8
     t = rho.mat.reshape((d,) * (2 * n))
@@ -232,9 +231,8 @@ def spin_projectors(n: int) -> list[SpinBlock]:
     rounded: the j(j+1) lie at least 2 apart, so every eigenvector lands in a
     block, of dimension (2j + 1) m_j.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    dim = _checked_power(2, n)
+    n = _strict_int(n)
+    dim = _checked_dim(2, n)
     digits = basis_digits(2, n)
     weight = digits.sum(axis=0)
     place = 2 ** np.arange(n - 1, -1, -1)

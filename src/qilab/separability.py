@@ -16,9 +16,9 @@ from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
     _as_matrix,
     _check_dims,
-    _check_size,
-    _checked_amplitudes,
-    _checked_power,
+    _checked_dim,
+    _finite,
+    _strict_int,
     hermitian_eig,
     partial_transpose,
 )
@@ -40,7 +40,7 @@ def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> PptV
 
 
 def witness_value(w: np.ndarray, rho: DensityMatrix) -> float:
-    return float(np.trace(np.asarray(w) @ rho.mat).real)
+    return float(np.trace(_finite(np.asarray(w)) @ rho.mat).real)
 
 
 def flip_witness() -> np.ndarray:
@@ -127,10 +127,11 @@ def k_extendibility(rho: DensityMatrix, k: int,
     """
     if len(rho.dims) != 2:
         raise ValueError("state must be explicitly bipartite")
+    k = _strict_int(k)
     if k < 2:
         raise ValueError("k must be at least 2")
     d_a, d_b = rho.dims
-    _check_size(d_a * _checked_power(d_b, k))
+    _checked_dim(d_a * _checked_dim(d_b, k))
     f, q, w = _schur_weyl_basis(d_b, k)
     n, dim_b, q_max = w.shape
     m, rest, ab_shape = d_a * q_max, dim_b // d_b, rho.mat.shape
@@ -187,7 +188,8 @@ def k_extendibility(rho: DensityMatrix, k: int,
 def slater_state(d: int) -> PureState:
     """The d-party Slater determinant state (1/sqrt(d!)) sum sgn(pi) |pi>,
     sgn from the inversion count, |pi> at the base-d number pi spells."""
-    size = _checked_amplitudes(d, d)
+    d = _strict_int(d)
+    size = _checked_dim(d, d, state=True)
     perms = np.array(list(itertools.permutations(range(d))), dtype=int)
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     amps = np.zeros(size, dtype=complex)
@@ -237,7 +239,7 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     d_a, d_b = rho.dims
-    m = np.asarray(measurement, dtype=complex)
+    m = _finite(np.asarray(measurement, dtype=complex))
     rhs = math.sqrt(2 * math.log(2) * math.log2(d_a) / k)
     rng = np.random.default_rng(seed)
     # one product vector a x b per row, a drawn before b for each sample
@@ -260,12 +262,12 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     A x Sym^n(B) in the type basis: |t> = sum_b sqrt(t_b/n) |b>|t - e_b>
     maps Sym^n into C^{d_B} x Sym^{n-1}, where M x I acts.
     """
-    m = _as_matrix(m)
+    m = _finite(_as_matrix(m))
     d_a, d_b = _check_dims(m.shape[0], dims)
     if n < 1:
         raise ValueError("need n >= 1")
     s = math.comb(n + d_b - 1, n)
-    _check_size(d_a * s)
+    _checked_dim(d_a * s)
     index = {t: i for i, (t, _) in enumerate(_iter_types(n, d_b))}
     u = np.array([t for t, _ in _iter_types(n - 1, d_b)])
     up = np.array([[index[tuple(t)] for t in v + np.eye(d_b, dtype=int)] for v in u])
@@ -291,8 +293,9 @@ def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    d_a, d_b = dims
-    m = np.asarray(m, dtype=complex).reshape(d_a, d_b, d_a, d_b)
+    m = _finite(_as_matrix(m))
+    d_a, d_b = _check_dims(m.shape[0], dims)
+    m = m.reshape(d_a, d_b, d_a, d_b)
     rng = np.random.default_rng(seed)
     best = -math.inf
     for _ in range(starts):

@@ -2,18 +2,18 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .tensor import (
     _amplitude_matrix,
     _check_dims,
-    _check_size,
-    _checked_amplitudes,
+    _checked_dim,
     _psd_sqrt,
     _strict_int,
+    _subsystems,
     hermitian_eig,
     is_hermitian,
     partial_trace,
@@ -76,15 +76,15 @@ class PureState:
         return self.amps.size
 
     def density(self) -> "DensityMatrix":
-        _check_size(self.dim)
+        _checked_dim(self.dim)
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), self.dims)
 
     def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
         """Reduced state A A^dag from the (kept x rest) amplitude matrix A."""
+        keep = _subsystems(keep, len(self.dims))
         a = _amplitude_matrix(self.amps, self.dims, keep)
-        _check_size(a.shape[0])
-        kept = tuple(self.dims[k] for k in sorted(set(keep)))
-        return DensityMatrix(a @ a.conj().T, kept)
+        _checked_dim(a.shape[0])
+        return DensityMatrix(a @ a.conj().T, tuple(self.dims[k] for k in keep))
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,8 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
-        sub = partial_trace(self.mat, self.dims, keep)
-        kept = tuple(self.dims[k] for k in sorted(set(keep)))
-        return DensityMatrix(sub, kept)
+        keep = _subsystems(keep, len(self.dims))
+        return DensityMatrix(partial_trace(self.mat, self.dims, keep), tuple(self.dims[k] for k in keep))
 
     def eigenvalues(self) -> np.ndarray:
         return hermitian_eig(self.mat).eigenvalues
@@ -259,12 +258,10 @@ def naimark_dilate(povm: Povm) -> NaimarkDilation:
     return NaimarkDilation(u, projs, d, m)
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix,
-                  dims_out: Sequence[int] | None = None) -> DensityMatrix:
+def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if channel.dim_in != rho.dim:
         raise ValueError("channel / state dimension mismatch")
-    out = sum(k @ rho.mat @ k.conj().T for k in channel.kraus)
-    return DensityMatrix(out, dims_out)
+    return DensityMatrix(sum(k @ rho.mat @ k.conj().T for k in channel.kraus))
 
 
 def quantum_instrument(channel: KrausChannel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
@@ -289,7 +286,8 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
-    _check_size(d * d)  # d^2 Kraus operators
+    d = _strict_int(d)
+    _checked_dim(d, 2)  # d^2 Kraus operators
     j = np.arange(d)
     a, b = j[:, None, None], j[None, :, None]
     ops = np.zeros((d, d, d, d), dtype=complex)  # ops[a, b] = X^a Z^b
@@ -348,7 +346,8 @@ def bell_basis() -> list[PureState]:
 
 def phi_plus(d: int = 2) -> PureState:
     """Maximally entangled state sum_i |ii>/sqrt(d)."""
-    v = np.zeros(_checked_amplitudes(d, 2), dtype=complex)
+    d = _strict_int(d)
+    v = np.zeros(_checked_dim(d, 2, state=True), dtype=complex)
     v[:: d + 1] = 1.0
     return PureState(v / math.sqrt(d), (d, d))
 
@@ -364,7 +363,7 @@ def w_state() -> PureState:
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
-    _check_size(d)
+    d = _checked_dim(d)
     return DensityMatrix(np.eye(d) / d, (d,))
 
 
@@ -402,38 +401,32 @@ def tetrahedron_povm() -> Povm:
 # ---------------------------------------------------------------------------
 
 def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> PureState:
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    d = _checked_amplitudes(math.prod(_strict_int(x) for x in dims))
+    dims = tuple(dims) if isinstance(dims, Iterable) else (dims,)
+    d = _checked_dim(math.prod(_strict_int(x) for x in dims), state=True)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(v / np.linalg.norm(v), tuple(dims))
+    return PureState(v / np.linalg.norm(v), dims)
 
 
-def random_density_matrix(dims: Sequence[int] | int, rng: np.random.Generator,
-                          rank: int | None = None) -> DensityMatrix:
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    d = math.prod(dims)
-    _check_size(d)
-    r = rank or d
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+def random_density_matrix(dims: Sequence[int] | int, rng: np.random.Generator) -> DensityMatrix:
+    dims = tuple(dims) if isinstance(dims, Iterable) else (dims,)
+    d = _checked_dim(math.prod(_strict_int(x) for x in dims))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, tuple(dims))
+    return DensityMatrix(m / np.trace(m).real, dims)
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    _check_size(d)
+    d = _checked_dim(d)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_separable_state(d_a: int, d_b: int, rng: np.random.Generator,
-                           terms: int = 4) -> DensityMatrix:
-    """Random mixture of random product pure states."""
-    _check_size(d_a * d_b)
-    w = rng.dirichlet(np.ones(terms))
-    acc = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+def random_separable_state(d_a: int, d_b: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random mixture of four random product pure states."""
+    d = _checked_dim(_strict_int(d_a) * _strict_int(d_b))
+    w = rng.dirichlet(np.ones(4))
+    acc = np.zeros((d, d), dtype=complex)
     for wi in w:
         a = random_pure_state(d_a, rng).amps
         b = random_pure_state(d_b, rng).amps

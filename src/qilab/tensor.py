@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -24,36 +24,48 @@ def _as_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_size(dim: int) -> None:
-    """Refuse an operator of more than SIZE_CAP rows before it is built."""
-    if dim > SIZE_CAP:
-        raise ValueError(f"operator size {dim} exceeds cap {SIZE_CAP}")
-
-
-def _checked_power(d: int, n: int) -> int:
-    """d**n after ``_check_size``; a huge n is refused before d**n is formed."""
-    if d >= 2 and n > SIZE_CAP.bit_length():
-        raise ValueError(f"operator size of at least {d}^{n} exceeds cap {SIZE_CAP}")
-    dim = d**n
-    _check_size(dim)
-    return dim
-
-
-def _checked_amplitudes(d: int, n: int = 1) -> int:
-    """d**n amplitudes if at most SIZE_CAP**2, the entry count of the largest
-    operator; a state vector is refused before it is built, a huge n before d**n."""
-    if (d >= 2 and n > 2 * SIZE_CAP.bit_length()) or d**n > SIZE_CAP**2:
-        size = f"{d}^{n}" if n != 1 else d
-        raise ValueError(f"state of {size} amplitudes exceeds cap {SIZE_CAP}^2")
-    return d**n
-
-
 def _strict_int(x) -> int:
     """``x`` as an int if it is an int or an integral float (not a bool), else ValueError."""
     if isinstance(x, (bool, np.bool_)) or not (isinstance(x, (int, np.integer)) or (
             isinstance(x, (float, np.floating)) and float(x).is_integer())):
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _checked_dim(d: int, n: int = 1, *, state: bool = False) -> int:
+    """d**n for integers d >= 1 and n >= 0 (read by ``_strict_int``) within the cap.
+
+    The cap is SIZE_CAP rows for an operator, or SIZE_CAP**2 amplitudes, the
+    entry count of the largest operator, for a state vector; a larger size is
+    refused before anything is built, and a huge n before d**n is formed.
+    """
+    d, n = _strict_int(d), _strict_int(n)
+    if d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    cap = SIZE_CAP**2 if state else SIZE_CAP
+    if (d >= 2 and n > cap.bit_length()) or d**n > cap:
+        size = d if n == 1 else f"{d}^{n}"
+        what = f"state of {size} amplitudes" if state else f"operator size {size}"
+        raise ValueError(f"{what} exceeds cap {SIZE_CAP}{'^2' if state else ''}")
+    return d**n
+
+
+def _subsystems(indices: Iterable[int], n: int) -> list[int]:
+    """The distinct subsystem indices in ascending order, each read by ``_strict_int``;
+    IndexError unless all lie in 0..n-1."""
+    idx = sorted({_strict_int(k) for k in indices})
+    if any(k < 0 or k >= n for k in idx):
+        raise IndexError(f"subsystem indices {idx} out of range for {n} subsystems")
+    return idx
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """``m`` if every entry is finite, else ValueError."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has NaN or infinite entries")
+    return m
 
 
 def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
@@ -89,9 +101,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     m = _as_matrix(m)
     dims = _check_dims(m.shape[0], dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise IndexError(f"keep indices {keep} out of range for {n} subsystems")
+    keep = _subsystems(keep, n)
     if n + len(keep) > 52:
         raise ValueError(f"{n} subsystems keeping {len(keep)} need more than np.einsum's 52 labels")
     # label i on row axis i and on a traced column axis, n + k on kept column axis k
@@ -101,11 +111,9 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return t.reshape(dkeep, dkeep)
 
 
-def _amplitude_matrix(amps: np.ndarray, dims: Sequence[int], rows: Iterable[int]) -> np.ndarray:
-    """A state vector as a matrix: the subsystems ``rows`` by the rest, each in order."""
-    rows = sorted(set(int(k) for k in rows))
-    if any(k < 0 or k >= len(dims) for k in rows):
-        raise IndexError(f"keep indices {rows} out of range for {len(dims)} subsystems")
+def _amplitude_matrix(amps: np.ndarray, dims: Sequence[int], rows: list[int]) -> np.ndarray:
+    """A state vector as a matrix: the subsystems ``rows`` (as ``_subsystems`` returns
+    them) by the rest, each in order."""
     rest = [i for i in range(len(dims)) if i not in rows]
     d_rows = int(np.prod([dims[k] for k in rows]))
     return np.reshape(amps, dims).transpose(rows + rest).reshape(d_rows, -1)
@@ -116,11 +124,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[i
     m = _as_matrix(m)
     dims = _check_dims(m.shape[0], dims)
     n = len(dims)
-    if isinstance(subsystems, (int, np.integer)):
-        subsystems = [int(subsystems)]
-    subs = sorted(set(int(s) for s in subsystems))
-    if any(s < 0 or s >= n for s in subs):
-        raise IndexError(f"subsystem indices {subs} out of range for {n} subsystems")
+    subs = _subsystems(subsystems if isinstance(subsystems, Iterable) else [subsystems], n)
     t = m.reshape(dims + dims)
     axes = list(range(2 * n))
     for s in subs:
@@ -130,7 +134,10 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[i
 
 def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        return np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -153,8 +160,9 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     eigenvalues are exactly real.
     """
     m = _as_matrix(m)
-    defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if defect > HERMITICITY_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     h = (m + m.conj().T) / 2
     vals, vecs = np.linalg.eigh(h)
@@ -174,7 +182,7 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {m.ndim}")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(np.sum(np.linalg.svd(_finite(m), compute_uv=False)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -195,10 +203,11 @@ def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
     P|i_1 ... i_n> = |j_1 ... j_n> with j_{perm[k]} = i_k.  Composition
     satisfies P(pi) @ P(sigma) = P(pi o sigma).
     """
+    perm = [_strict_int(p) for p in perm]
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    dim = _checked_power(d, n)
+    d, dim = _strict_int(d), _checked_dim(d, n)
     t = np.eye(dim).reshape((d,) * (2 * n))
     # Axis k of the "row" block corresponds to output slot k; pull input
     # slot inv[k] into it.

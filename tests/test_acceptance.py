@@ -199,7 +199,7 @@ def test_12_k_extendibility():
     rng = np.random.default_rng(1212)
     ok = True
     for _ in range(20):
-        s = q.random_separable_state(2, 2, rng, terms=4)
+        s = q.random_separable_state(2, 2, rng)
         rho = q.DensityMatrix(0.85 * s.mat + 0.15 * np.eye(4) / 4, (2, 2))
         rep = q.k_extendibility(rho, 3)
         ok &= rep.status is FeasStatus.FEASIBLE and rep.residual <= 1e-6

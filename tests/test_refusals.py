@@ -16,6 +16,8 @@ from qilab.serialize import matrix_to_json
 from qilab.tensor import trace_distance, trace_norm
 
 QUTRIT = np.eye(3) / 3
+M23 = np.eye(6) / 6  # an operator on C^2 x C^3
+NAN4, INF4 = (np.diag([x, 1.0, 1.0, 1.0]) for x in (math.nan, math.inf))
 
 # name: (call, expected message)
 REFUSALS = {
@@ -78,6 +80,54 @@ REFUSALS = {
     "bell_operator(non-Hermitian involution)": (
         lambda: q.bell_operator(np.array([[0, 2], [0.5, 0]]), np.eye(2), np.eye(2), np.eye(2)),
         "must be Hermitian"),
+    # subsystem indices, counts and dimensions are integers, never truncated
+    "partial_trace(keep [0.7])": (lambda: q.partial_trace(M23, (2, 3), [0.7]), "expected an integer"),
+    "partial_trace(keep [True])": (lambda: q.partial_trace(M23, (2, 3), [True]), "expected an integer"),
+    "partial_transpose([1.9])": (lambda: q.partial_transpose(M23, (2, 3), [1.9]), "expected an integer"),
+    "partial_transpose(1.9)": (lambda: q.partial_transpose(M23, (2, 3), 1.9), "expected an integer"),
+    "DensityMatrix.marginal([True])": (lambda: q.DensityMatrix(M23, (2, 3)).marginal([True]),
+                                       "expected an integer"),
+    "DensityMatrix.marginal([0.5])": (lambda: q.DensityMatrix(M23, (2, 3)).marginal([0.5]),
+                                      "expected an integer"),
+    "PureState.marginal([0.5])": (lambda: q.phi_plus().marginal([0.5]), "expected an integer"),
+    "schmidt([0.5])": (lambda: q.schmidt(q.phi_plus(), [0.5]), "expected an integer"),
+    "schmidt(True)": (lambda: q.schmidt(q.phi_plus(), True), "expected an integer"),
+    "ppt_check(True)": (lambda: q.ppt_check(q.noisy_epr(0.5), True), "expected an integer"),
+    "ppt_check([0.9])": (lambda: q.ppt_check(q.noisy_epr(0.5), [0.9]), "expected an integer"),
+    "information_measures([(0.2,), (1,)])": (
+        lambda: q.information_measures(q.noisy_epr(0.5), [(0.2,), (1,)]), "expected an integer"),
+    "k_extendibility(k=2.5)": (lambda: q.k_extendibility(q.noisy_epr(0.5), 2.5), "expected an integer"),
+    "spin_projectors(2.5)": (lambda: q.spin_projectors(2.5), "expected an integer"),
+    "symmetric_projector(True, 3)": (lambda: q.symmetric_projector(True, 3), "expected an integer"),
+    "phi_plus(2.5)": (lambda: q.phi_plus(2.5), "expected an integer"),
+    "maximally_mixed(2.5)": (lambda: q.maximally_mixed(2.5), "expected an integer"),
+    "permutation_operator([True, False])": (lambda: q.permutation_operator(2, [True, False]),
+                                            "expected an integer"),
+    "depolarizing_channel(d=0)": (lambda: q.depolarizing_channel(0.5, 0), "positive integer"),
+    "phi_plus(-1)": (lambda: q.phi_plus(-1), "positive integer"),
+    "maximally_mixed(0)": (lambda: q.maximally_mixed(0), "positive integer"),
+    "werner_symmetric(0)": (lambda: q.werner_symmetric(0), "positive integer"),
+    "random_density_matrix(0)": (lambda: q.random_density_matrix(0, np.random.default_rng(0)),
+                                 "positive integer"),
+    "swap_operator(0)": (lambda: q.swap_operator(0), "positive integer"),
+    "symmetric_projector(0, 3)": (lambda: q.symmetric_projector(0, 3), "positive integer"),
+    "random_unitary(0)": (lambda: q.random_unitary(0, np.random.default_rng(0)), "positive integer"),
+    "slater_state(0)": (lambda: q.slater_state(0), "positive integer"),
+    # a NaN or infinite operator entry, where a number is read off the operator
+    "hermitian_eig(NaN)": (lambda: q.hermitian_eig(NAN4), "not Hermitian"),
+    "hermitian_eig(inf)": (lambda: q.hermitian_eig(INF4), "not Hermitian"),
+    "trace_distance(inf)": (lambda: trace_distance(INF4, np.eye(4) / 4), "expects Hermitian"),
+    "trace_norm(NaN)": (lambda: trace_norm(NAN4), "NaN or infinite"),
+    "h_sep_sampled(NaN)": (lambda: q.h_sep_sampled(NAN4, (2, 2)), "NaN or infinite"),
+    "h_sep_sampled(5 x 5)": (lambda: q.h_sep_sampled(np.eye(5), (2, 2)), "imply size 4"),
+    "h_sep_sampled(dims (2.5, 1.6))": (lambda: q.h_sep_sampled(np.eye(4), (2.5, 1.6)), "expected an integer"),
+    "h_n_ext(NaN)": (lambda: q.h_n_ext(NAN4, (2, 2), 2), "NaN or infinite"),
+    "witness_value(NaN)": (lambda: q.witness_value(NAN4, q.noisy_epr(0.5)), "NaN or infinite"),
+    "witness_value(inf)": (lambda: q.witness_value(INF4, q.noisy_epr(0.5)), "NaN or infinite"),
+    "bcy_inequality_check(NaN)": (lambda: q.bcy_inequality_check(q.noisy_epr(0.5), NAN4, 2),
+                                  "NaN or infinite"),
+    "bcy_inequality_check(inf)": (lambda: q.bcy_inequality_check(q.noisy_epr(0.5), INF4, 2),
+                                  "NaN or infinite"),
 }
 
 

@@ -13,9 +13,7 @@ from qilab.tensor import (
     SIZE_CAP,
     EigDecomposition,
     _check_dims,
-    _check_size,
-    _checked_amplitudes,
-    _checked_power,
+    _checked_dim,
     _strict_int,
     hermitian_eig,
     is_hermitian,
@@ -182,7 +180,7 @@ OVERSIZED = {
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED))
 def test_size_guard_refuses_before_allocating(name):
-    _check_size(SIZE_CAP)  # the cap itself is allowed
+    _checked_dim(SIZE_CAP)  # the cap itself is allowed
     fn, *args = OVERSIZED[name]()  # inputs are built before tracing starts
     tracemalloc.start()
     try:
@@ -206,7 +204,7 @@ OVERSIZED_STATES = {
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED_STATES))
 def test_state_size_guard_refuses_before_allocating(name):
-    assert _checked_amplitudes(SIZE_CAP, 2) == SIZE_CAP**2  # the cap itself is allowed
+    assert _checked_dim(SIZE_CAP, 2, state=True) == SIZE_CAP**2  # the cap itself is allowed
     fn, *args = OVERSIZED_STATES[name]()
     tracemalloc.start()
     try:
@@ -221,24 +219,27 @@ def test_state_size_guard_refuses_before_allocating(name):
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(0, 70), n=st.integers(0, 30))
 def test_checked_power_accepts_exactly_the_powers_within_the_cap(d, n):
-    if d**n <= SIZE_CAP:
-        assert _checked_power(d, n) == d**n
+    if d == 0:
+        with pytest.raises(ValueError, match="positive integer"):
+            _checked_dim(d, n)
+    elif d**n <= SIZE_CAP:
+        assert _checked_dim(d, n) == d**n
     else:
         with pytest.raises(ValueError, match="exceeds cap 4096"):
-            _checked_power(d, n)
+            _checked_dim(d, n)
 
 
 def test_checked_power_boundaries():
-    assert _checked_power(2, 12) == 4096
+    assert _checked_dim(2, 12) == 4096
     with pytest.raises(ValueError, match="exceeds cap 4096"):
-        _checked_power(2, 13)
+        _checked_dim(2, 13)
     # forming (10^6)^(10^6) would take minutes and megabytes; it is refused at once
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds cap 4096"):
-        _checked_power(10**6, 10**6)
+        _checked_dim(10**6, 10**6)
     assert time.perf_counter() - start < 1.0
-    assert _checked_power(1, 10**18) == 1
-    assert _checked_amplitudes(1, 10**18) == 1
+    assert _checked_dim(1, 10**18) == 1
+    assert _checked_dim(1, 10**18, state=True) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,6 +285,45 @@ def test_strict_int_refuses_everything_else(x):
         _strict_int(x)
 
 
+def test_integral_floats_count_as_integers():
+    assert np.array_equal(q.symmetric_projector(2, 2.0), q.symmetric_projector(2, 2))
+    assert np.array_equal(permutation_operator(2, [1.0, 0.0]), swap_operator(2))
+
+
+def old_index_normalisation(indices):
+    """The rule each index reader followed before the shared one: int() of each, sorted, distinct."""
+    return sorted(set(int(k) for k in indices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), data=st.data())
+def test_index_reader_matches_the_old_normalisation(dims, data):
+    n = len(dims)
+    # unsorted, repeated, and as int, numpy int or integral float
+    raw = data.draw(st.lists(st.integers(0, n - 1).flatmap(
+        lambda k: st.sampled_from([k, np.int64(k), float(k)])), max_size=6))
+    keep = old_index_normalisation(raw)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = math.prod(dims)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    assert np.array_equal(partial_trace(m, dims, raw), partial_trace(m, dims, keep))
+    assert np.array_equal(partial_transpose(m, dims, raw), partial_transpose(m, dims, keep))
+    psi = q.random_pure_state(dims, rng)
+    for state in (psi, psi.density()):
+        got, want = state.marginal(raw), state.marginal(keep)
+        assert got.dims == want.dims and np.array_equal(got.mat, want.mat)
+    cuts = [(raw, keep)] if 0 < len(keep) < n else []
+    if n > 1:  # an integer cut c is the subsystems 0..c-1
+        c = data.draw(st.integers(1, n - 1))
+        cuts.append((float(c), list(range(c))))
+    for cut, want_cut in cuts:
+        got, want = q.schmidt(psi, cut), q.schmidt(psi, want_cut)
+        assert got.cut == want.cut and got.dims == want.dims
+        for x, y in ((got.coefficients, want.coefficients), (got.left_basis, want.left_basis),
+                     (got.right_basis, want.right_basis)):
+            assert np.array_equal(x, y)
+
+
 def test_check_dims_refuses_non_integer_dimensions():
     assert _check_dims(4, (2.0, np.int64(2))) == (2, 2)
     for dims in [(2.9, 2.1), (True, 4), (2.5, 1.6), (None, 4)]:
@@ -312,6 +352,11 @@ FIXED_VALUES = {
     "w_polytope_check(tol)": (q.w_polytope_check, ((1.0, 1.0, 1.0),), "tol"),
     "symmetric_purification(tol)": (q.symmetric_purification,
                                     (q.DensityMatrix(np.eye(4) / 4, (2, 2)),), "tol"),
+    # keywords that no caller set: a rank-deficient sample, output dims, a term count
+    "random_density_matrix(rank)": (q.random_density_matrix, (2, np.random.default_rng(0)), "rank"),
+    "apply_channel(dims_out)": (q.apply_channel, (q.depolarizing_channel(0.5), q.noisy_epr(0.5).marginal([0])),
+                                "dims_out"),
+    "random_separable_state(terms)": (q.random_separable_state, (2, 2, np.random.default_rng(0)), "terms"),
 }
 
 
