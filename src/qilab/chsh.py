@@ -5,16 +5,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .states import PAULI_X, PAULI_Z, PureState, phi_plus
-from .tensor import tensor
+from .tensor import _count, tensor
 
 CLASSICAL_OPTIMUM = 0.75
 QUANTUM_OPTIMUM = math.cos(math.pi / 8) ** 2  # 1/2 + 1/(2 sqrt 2)
 TSIRELSON = 2 * math.sqrt(2)
+SWEEP_TOL = 1e-12
+MAX_SWEEPS = 200
 
 #: the textbook measurement angles (Alice r=0,1; Bob s=0,1)
 OPTIMAL_ANGLES = (0.0, math.pi / 4, math.pi / 8, -math.pi / 8)
@@ -131,19 +132,17 @@ def _schmidt_win_probabilities(params: np.ndarray) -> np.ndarray:
 
 
 def chsh_optimize(starts: int = 32, seed: int = 0,
-                  product_state: bool = False,
-                  sweep_tol: float = 1e-12, max_sweeps: int = 200) -> OptimizationResult:
+                  product_state: bool = False) -> OptimizationResult:
     """Coordinate-ascent search over four angles and a Schmidt angle.
 
     In each coordinate the objective is exactly a + b cos 2t + c sin 2t, so
     the per-coordinate maximizer is computed in closed form from three
     probes.  With ``product_state`` the shared state is pinned to |00>,
-    recovering the classical optimum 3/4.  All starts ascend together; a
-    start stops once a sweep gains less than ``sweep_tol``.  ``value`` is the
-    win probability of the returned strategy.
+    recovering the classical optimum 3/4.  All starts ascend together; a start
+    stops once a sweep gains less than SWEEP_TOL, or after MAX_SWEEPS sweeps.
+    ``value`` is the win probability of the returned strategy.
     """
-    if starts < 1:
-        raise ValueError("starts must be at least 1")
+    starts = _count(starts, 1, "starts")
     rng = np.random.default_rng(seed)
     params = rng.uniform(0, math.pi, size=(starts, 5))
     if product_state:
@@ -152,7 +151,7 @@ def chsh_optimize(starts: int = 32, seed: int = 0,
     vals = _schmidt_win_probabilities(params)
     live = np.arange(starts)
     probe_angles = np.array([0.0, math.pi / 4, math.pi / 2])
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         p, prev = params[live], vals[live]
         for i in range(free):
             probes = np.repeat(p[None], 3, axis=0)
@@ -164,7 +163,7 @@ def chsh_optimize(starts: int = 32, seed: int = 0,
             p[:, i] = 0.5 * np.arctan2(c_c, b_c)
             val = a + np.hypot(b_c, c_c)
         params[live], vals[live] = p, val
-        live = live[~(val - prev < sweep_tol)]
+        live = live[~(val - prev < SWEEP_TOL)]
         if live.size == 0:
             break
     # report the objective at the best start's point, not the closed-form

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import _checked_dim, _strict_int, basis_digits, hermitian_eig, trace_norm
+from .tensor import _checked_dim, _count, basis_digits, hermitian_eig, trace_norm
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -164,7 +164,7 @@ def _iter_types(n: int, d: int):
     nonzero t_k to t_{k-1} and the rest to t_{d-1}: the size's factor C(r, c)
     at level k - 1 becomes C(r, c + 1) = C(r, c) t_k/(c + 1), the later ones 1.
     """
-    t, size = [0] * (d - 1) + [int(n)], [1] * d  # size[i]: the factors of levels 0 .. i
+    t, size = [0] * (d - 1) + [n], [1] * d  # size[i]: the factors of levels 0 .. i
     while True:
         yield tuple(t), size[-1]
         k = max((j for j in range(1, d) if t[j]), default=0)  # the last nonzero count
@@ -185,8 +185,9 @@ def typical_set(p: Sequence[float], n: int, delta: float,
     otherwise the mass is the typical share of ``mc_samples`` draws.
     """
     p = _checked_distribution(p)
-    if not delta > 0 or n < 1 or mc_samples < 1:  # also rejects a NaN delta
-        raise ValueError("need delta > 0, n >= 1 and mc_samples >= 1")
+    n, mc_samples = _count(n, 1, "n"), _count(mc_samples, 1, "mc_samples")
+    if not delta > 0:  # also rejects NaN
+        raise ValueError("need delta > 0")
     d = len(p)
     h = shannon_entropy(p)
     logs = np.array([-math.log2(x) if x > 0 else math.inf for x in p])
@@ -226,7 +227,9 @@ def typical_set(p: Sequence[float], n: int, delta: float,
 
 def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
     """Chebyshev guarantee: mass >= 1 - Var[log2 p(X)] / (n delta^2)."""
-    p = _checked_distribution(p)
+    p, n = _checked_distribution(p), _count(n, 1, "n")
+    if not delta > 0:  # also rejects NaN
+        raise ValueError("need delta > 0")
     nz = p[p > 0]
     logs = -np.log2(nz)
     mean = float(np.sum(nz * logs))
@@ -243,9 +246,7 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     is the eigenbasis of rho.  Only feasible for d^n within the operator
     size cap.
     """
-    n = _strict_int(n)
-    if n < 1:
-        raise ValueError("block length n must be at least 1")
+    n = _count(n, 1, "n")
     if not delta > 0:  # also rejects NaN
         raise ValueError("need delta > 0")
     d = rho.dim
@@ -287,11 +288,7 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
     2^{nR}, decided by exact big-integer comparison.
     """
     p = _checked_distribution(p)
-    d = len(p)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if n < 1:
-        raise ValueError("block length n must be at least 1")
+    d, n, trials = len(p), _count(n, 1, "n"), _count(trials, 1, "trials")
     if not 0 <= rate < math.inf:  # also rejects NaN
         raise ValueError("rate must be finite and nonnegative")
     # C(n + d - 1, d - 1) >= 2^min(n, d - 1), so a count that long is refused before it is formed

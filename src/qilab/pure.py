@@ -11,7 +11,7 @@ import numpy as np
 
 from .entropy import shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
-from .tensor import _amplitude_matrix, _strict_int, _subsystems, tensor
+from .tensor import _amplitude_matrix, _count, _strict_int, _subsystems, tensor
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -94,9 +94,9 @@ def teleport(psi: PureState, seed: int | None = None,
         probs[i] = p
         residues.append(v)
     if force_outcome is not None:
-        outcome = int(force_outcome)
-        if outcome not in range(4):
-            raise ValueError("outcome must be in 0..3")
+        outcome = _count(force_outcome, 0, "force_outcome")
+        if outcome > 3:
+            raise ValueError("force_outcome must be in 0..3")
     else:
         rng = np.random.default_rng(seed)
         outcome = int(rng.choice(4, p=probs / probs.sum()))
@@ -133,6 +133,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
     p = np.asarray(spectrum, dtype=float)
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("spectrum must be a probability distribution")
+    n = _count(n, 0, "n")
     rng = np.random.default_rng(seed)
     size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in rng.multinomial(n, p))
     return math.log2(size)
@@ -141,8 +142,9 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
 def dilution_rank_bound(psi: PureState, cut: Sequence[int] | int,
                         n: int, delta: float) -> int:
     """ceil(n (S + delta)) qubits suffice per the typical-subspace argument."""
-    if delta < 0 or n < 1:
-        raise ValueError("need delta >= 0 and n >= 1")
+    n = _count(n, 1, "n")
+    if not 0 <= delta < math.inf:  # also rejects NaN
+        raise ValueError("need finite delta >= 0")
     s = entanglement_entropy(psi, cut)
     return math.ceil(n * (s + delta) - 1e-12)
 
@@ -229,7 +231,7 @@ def three_qubit_spectra_compatible(lmax: Sequence[float]) -> bool:
     inequalities lambda_i + lambda_j <= 1 + lambda_k, both within 1e-12.
     """
     l = [float(x) for x in lmax]
-    if len(l) != 3 or any(x < 0.5 - 1e-12 or x > 1 + 1e-12 for x in l):
+    if len(l) != 3 or not all(0.5 - 1e-12 <= x <= 1 + 1e-12 for x in l):  # also rejects NaN
         raise ValueError("largest eigenvalues must lie in [1/2, 1]")
     for k in range(3):
         i, j = [x for x in range(3) if x != k]
@@ -259,8 +261,8 @@ def three_qubit_state_from_spectra(lmax: Sequence[float]) -> PureState:
 def w_polytope_check(lmax: Sequence[float]) -> bool:
     """lambda_A + lambda_B + lambda_C >= 2 (within 1e-9) characterizes W-class marginals."""
     l = [float(x) for x in lmax]
-    if len(l) != 3:
-        raise ValueError("need three largest eigenvalues")
+    if len(l) != 3 or not all(map(math.isfinite, l)):
+        raise ValueError("need three largest eigenvalues, all finite")
     return sum(l) >= 2 - 1e-9
 
 

@@ -13,11 +13,12 @@ import numpy as np
 
 from .entropy import binary_relative_entropy
 from .states import DensityMatrix, PureState
-from .tensor import _checked_dim, _psd_sqrt, _strict_int, basis_digits
+from .tensor import _checked_dim, _count, _psd_sqrt, _strict_int, basis_digits
 
 
 def symmetric_dimension(d: int, n: int) -> int:
     """dim Sym^n(C^d) = C(n + d - 1, n)."""
+    d, n = _count(d, 1, "d"), _count(n, 0, "n")
     return math.comb(n + d - 1, n)
 
 
@@ -45,8 +46,7 @@ def symmetric_projector(d: int, n: int) -> np.ndarray:
 
 def estimation_overlap_exact(d: int, n: int, k: int) -> Fraction:
     """Exact overlap ratio dim Sym^n / dim Sym^{n+k} >= 1 - d k / n."""
-    if d < 1 or n < 1 or k < 0:
-        raise ValueError("need d >= 1, n >= 1, k >= 0")
+    d, n, k = _count(d, 1, "d"), _count(n, 1, "n"), _count(k, 0, "k")
     return Fraction(symmetric_dimension(d, n), symmetric_dimension(d, n + k))
 
 
@@ -196,17 +196,17 @@ def _j_values(n: int) -> list[float]:
 
 def spin_multiplicity(n: int, j: float) -> int:
     """m_j^(n) = C(n, n/2 - j) - C(n, n/2 - j - 1), exact integers."""
+    n = _count(n, 0, "n")
     two_j = round(2 * j)
-    if two_j < 0 or (n - two_j) % 2 != 0:
+    if not 0 <= two_j <= n or (n - two_j) % 2:
         return 0
     k = (n - two_j) // 2
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k) - (math.comb(n, k - 1) if k >= 1 else 0)
+    return math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
 
 
 def spin_multiplicity_bound(n: int, j: float) -> float:
     """m_j^(n) <= 2^{n h(1/2 + j/n)} via the binomial entropy bound."""
+    n = _count(n, 1, "n")
     x = 0.5 + j / n
     if not 0.0 <= x <= 1.0:
         raise ValueError("j/n out of range")
@@ -270,8 +270,7 @@ def spectrum_estimation_distribution(r: float, n: int) -> dict[float, float]:
     """
     if not 0.0 <= r <= 0.5:
         raise ValueError("r must lie in [0, 1/2]")
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = _count(n, 0, "n")
     if r == 0.5:  # q = 0: all weight on j = n/2, whose multiplicity is 1
         return {j: float(j == n / 2) for j in _j_values(n)}
     p, q = 0.5 + r, 0.5 - r
@@ -296,6 +295,7 @@ def spectrum_tail_bound(r: float, n: int, j: float) -> float:
 
     Pr[j] <= c * 2^{-n delta(1/2 + j/n || 1/2 + r)} with c = (1/2 + r)/(2r).
     """
+    n = _count(n, 1, "n")
     if r <= 0:
         return math.inf
     x = 0.5 + j / n
@@ -307,6 +307,7 @@ def spectrum_tail_bound(r: float, n: int, j: float) -> float:
 
 def sample_spin_outcomes(r: float, n: int, size: int, seed: int = 0) -> np.ndarray:
     """Draw total-spin outcomes j from the exact distribution."""
+    size = _count(size, 0, "size")
     dist = spectrum_estimation_distribution(r, n)
     js = np.array(sorted(dist))
     ps = np.array([dist[j] for j in js])
@@ -329,11 +330,9 @@ def keyl_werner_estimate(outcomes: Sequence[float], n: int,
                          r_true: float | None = None) -> SpectrumEstimate:
     """Point estimate r_hat = mean(j)/n; with the true r supplied, also the
     exponential bound on seeing the observed deviation in a single shot."""
-    js = np.asarray(outcomes, dtype=float)
-    if js.size == 0:
-        raise ValueError("need at least one outcome")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    js, n = np.asarray(outcomes, dtype=float), _count(n, 1, "n")
+    if js.size == 0 or not (np.isfinite(js).all() and (r_true is None or math.isfinite(r_true))):
+        raise ValueError("need at least one outcome; outcomes and r_true must be finite")
     r_hat = float(js.mean() / n)
     dev = bound = None
     if r_true is not None:

@@ -17,8 +17,8 @@ from .tensor import (
     _as_matrix,
     _check_dims,
     _checked_dim,
+    _count,
     _finite,
-    _strict_int,
     hermitian_eig,
     partial_transpose,
 )
@@ -127,9 +127,7 @@ def k_extendibility(rho: DensityMatrix, k: int,
     """
     if len(rho.dims) != 2:
         raise ValueError("state must be explicitly bipartite")
-    k = _strict_int(k)
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k, max_iterations = _count(k, 2, "k"), _count(max_iterations, 1, "max_iterations")
     d_a, d_b = rho.dims
     _checked_dim(d_a * _checked_dim(d_b, k))
     f, q, w = _schur_weyl_basis(d_b, k)
@@ -188,7 +186,7 @@ def k_extendibility(rho: DensityMatrix, k: int,
 def slater_state(d: int) -> PureState:
     """The d-party Slater determinant state (1/sqrt(d!)) sum sgn(pi) |pi>,
     sgn from the inversion count, |pi> at the base-d number pi spells."""
-    d = _strict_int(d)
+    d = _count(d, 1, "d")
     size = _checked_dim(d, d, state=True)
     perms = np.array(list(itertools.permutations(range(d))), dtype=int)
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
@@ -217,8 +215,7 @@ def data_hiding_bias(d: int) -> DataHidingReport:
     closed form from its two eigenvalues -1/(d(d+1)) (once) and
     1/(d(d^2-1)) (d^2 - 1 times), giving (d+2)/(2d(d+1)) <= 1/d.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    d = _count(d, 2, "d")
     ppt_bias = 0.5 * (1 / (d * (d + 1)) + 1 / d)
     # the symmetric and antisymmetric Werner states have orthogonal supports
     return DataHidingReport(d, 1.0, ppt_bias)
@@ -234,10 +231,7 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
     """
     if len(rho.dims) != 2:
         raise ValueError("state must be bipartite")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k, samples = _count(k, 1, "k"), _count(samples, 1, "samples")
     d_a, d_b = rho.dims
     m = _finite(np.asarray(measurement, dtype=complex))
     rhs = math.sqrt(2 * math.log(2) * math.log2(d_a) / k)
@@ -264,8 +258,7 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     """
     m = _finite(_as_matrix(m))
     d_a, d_b = _check_dims(m.shape[0], dims)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _count(n, 1, "n")
     s = math.comb(n + d_b - 1, n)
     _checked_dim(d_a * s)
     index = {t: i for i, (t, _) in enumerate(_iter_types(n, d_b))}
@@ -291,8 +284,7 @@ def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
     eigenvector of the conditioned operator; alternating is monotone, so the
     best value over random restarts is a certified lower bound.
     """
-    if starts < 1:
-        raise ValueError("starts must be at least 1")
+    starts = _count(starts, 1, "starts")
     m = _finite(_as_matrix(m))
     d_a, d_b = _check_dims(m.shape[0], dims)
     m = m.reshape(d_a, d_b, d_a, d_b)
@@ -361,7 +353,8 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]]) -> MotzkinStrausRep
     from an exact search, and the quadratic value is the objective at its
     certificate: p uniform on the maximum clique, which attains 1 - 1/w.
     """
-    if n < 1 or n > 20:
+    n = _count(n, 1, "n")
+    if n > 20:
         raise ValueError("vertex count must be in 1..20")
     eset = set()
     for i, j in edges:

@@ -11,6 +11,7 @@ from .tensor import (
     _amplitude_matrix,
     _check_dims,
     _checked_dim,
+    _count,
     _psd_sqrt,
     _strict_int,
     _subsystems,
@@ -300,7 +301,10 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
 def pauli_rotation(axis: Sequence[float], angle: float) -> np.ndarray:
     """exp(i angle/2 n.sigma) for a unit axis n (closed form)."""
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not (0 < norm < math.inf and math.isfinite(angle)):  # also rejects NaN
+        raise ValueError("need a nonzero finite axis and a finite angle")
+    n = n / norm
     s = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
     return math.cos(angle / 2) * I2 + 1j * math.sin(angle / 2) * s
 
@@ -369,14 +373,14 @@ def maximally_mixed(d: int) -> DensityMatrix:
 
 def werner_symmetric(d: int) -> DensityMatrix:
     """Normalized projector onto the symmetric subspace of C^d x C^d."""
+    d = _count(d, 1, "d")
     f = swap_operator(d)
     return DensityMatrix((np.eye(d * d) + f) / (d * (d + 1)), (d, d))
 
 
 def werner_antisymmetric(d: int) -> DensityMatrix:
     """Normalized projector onto the antisymmetric subspace of C^d x C^d."""
-    if d < 2:
-        raise ValueError("antisymmetric state needs d >= 2")
+    d = _count(d, 2, "d")
     f = swap_operator(d)
     return DensityMatrix((np.eye(d * d) - f) / (d * (d - 1)), (d, d))
 

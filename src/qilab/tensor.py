@@ -32,18 +32,24 @@ def _strict_int(x) -> int:
     return int(x)
 
 
+def _count(x, least: int, name: str) -> int:
+    """The count ``x`` read by ``_strict_int``; a value below ``least`` is refused
+    with a ValueError that names the parameter and its bound."""
+    n = _strict_int(x)
+    if n < least:
+        bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {bound}, got {n}")
+    return n
+
+
 def _checked_dim(d: int, n: int = 1, *, state: bool = False) -> int:
-    """d**n for integers d >= 1 and n >= 0 (read by ``_strict_int``) within the cap.
+    """d**n for counts d >= 1 and n >= 0 (read by ``_count``) within the cap.
 
     The cap is SIZE_CAP rows for an operator, or SIZE_CAP**2 amplitudes, the
     entry count of the largest operator, for a state vector; a larger size is
     refused before anything is built, and a huge n before d**n is formed.
     """
-    d, n = _strict_int(d), _strict_int(n)
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    d, n = _count(d, 1, "dimension"), _count(n, 0, "n")
     cap = SIZE_CAP**2 if state else SIZE_CAP
     if (d >= 2 and n > cap.bit_length()) or d**n > cap:
         size = d if n == 1 else f"{d}^{n}"
@@ -72,9 +78,7 @@ def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     """Positive subsystem dimensions multiplying to ``size``; None is one system."""
     if dims is None:
         return (size,)
-    dims = tuple(_strict_int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    dims = tuple(_count(d, 1, "subsystem dimension") for d in dims)
     total = math.prod(dims)
     if size != total:
         raise ValueError(f"dims {dims} imply size {total}, but the space has size {size}")

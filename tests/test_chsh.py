@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qilab as q
+from qilab import chsh as chsh_mod
 from qilab.chsh import DeterministicStrategy, QuantumStrategy, _win_probabilities
 
 RNG = np.random.default_rng(17)
@@ -128,14 +129,15 @@ def test_optimizer_angles_attain_the_returned_value(seed, product_state):
     assert strat.win_probability() == pytest.approx(res.value, abs=1e-12)
 
 
-def test_optimizer_starts_are_the_per_start_draws():
+def test_optimizer_starts_are_the_per_start_draws(monkeypatch):
     # with no sweeps the result is the first best of the start points themselves
+    monkeypatch.setattr(chsh_mod, "MAX_SWEEPS", 0)
     starts, seed = 9, 11
     rng = np.random.default_rng(seed)
     points = [rng.uniform(0, math.pi, size=5) for _ in range(starts)]
     values = [point_win_probability(p) for p in points]
     best = int(np.argmax(values))
-    res = q.chsh_optimize(starts=starts, seed=seed, max_sweeps=0)
+    res = q.chsh_optimize(starts=starts, seed=seed)
     assert res.angles == tuple(points[best][:4])
     assert res.schmidt_angle == points[best][4]
     assert res.value == pytest.approx(values[best], abs=1e-12)
@@ -163,10 +165,12 @@ def chsh_optimize_per_start(starts, seed, sweep_tol, max_sweeps):
 
 
 @pytest.mark.parametrize("sweep_tol,max_sweeps", [(1e-3, 200), (1e-6, 3), (1.0, 200)])
-def test_optimizer_stops_each_start_like_a_per_start_loop(sweep_tol, max_sweeps):
+def test_optimizer_stops_each_start_like_a_per_start_loop(monkeypatch, sweep_tol, max_sweeps):
     # sweep_tol=1.0 stops every start after one sweep; max_sweeps=3 ends on the budget
+    monkeypatch.setattr(chsh_mod, "SWEEP_TOL", sweep_tol)
+    monkeypatch.setattr(chsh_mod, "MAX_SWEEPS", max_sweeps)
     for seed in (2, 4):
-        res = q.chsh_optimize(starts=6, seed=seed, sweep_tol=sweep_tol, max_sweeps=max_sweeps)
+        res = q.chsh_optimize(starts=6, seed=seed)
         ends = chsh_optimize_per_start(6, seed, sweep_tol, max_sweeps)
         assert res.value == pytest.approx(max(v for v, _ in ends), abs=1e-12)
         # the returned point is where one of the starts stopped (ties may pick any)

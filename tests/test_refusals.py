@@ -4,6 +4,7 @@ Each refusal is a call that must raise ValueError (FormatError is one) with
 the given message; the verdicts pin where a solver or classifier declines
 to decide.
 """
+import dataclasses
 import json
 import math
 
@@ -48,7 +49,7 @@ REFUSALS = {
     "depolarizing_channel(p > 1)": (lambda: q.depolarizing_channel(1.5), r"outside \[0, 1\]"),
     "noisy_epr(p < 0)": (lambda: q.noisy_epr(-0.1), r"outside \[0, 1\]"),
     "bloch_vector(qutrit)": (lambda: q.bloch_vector(q.DensityMatrix(QUTRIT)), "qubits only"),
-    "werner_antisymmetric(1)": (lambda: q.werner_antisymmetric(1), "needs d >= 2"),
+    "werner_antisymmetric(1)": (lambda: q.werner_antisymmetric(1), "^d must be an integer >= 2, got 1$"),
     # entropy
     "binary_entropy(1.5)": (lambda: q.binary_entropy(1.5), r"outside \[0, 1\]"),
     "binary_relative_entropy(1.5, 0.5)": (lambda: q.binary_relative_entropy(1.5, 0.5), r"in \[0, 1\]"),
@@ -61,7 +62,8 @@ REFUSALS = {
                                   r"outcome must be in 0\.\.3"),
     "unconditioned_bob_state(two qubits)": (lambda: q.unconditioned_bob_state(q.phi_plus()),
                                             "single-qubit message"),
-    "dilution_rank_bound(n=0)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 0, 0.1), "n >= 1"),
+    "dilution_rank_bound(n=0)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 0, 0.1),
+                                 "^n must be a positive integer, got 0$"),
     "dilution_rank_bound(delta<0)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 10, -0.1),
                                      "delta >= 0"),
     "slocc_apply(two operators, three qubits)": (lambda: q.slocc_apply([np.eye(2)] * 2, q.ghz_state()),
@@ -128,6 +130,29 @@ REFUSALS = {
                                   "NaN or infinite"),
     "bcy_inequality_check(inf)": (lambda: q.bcy_inequality_check(q.noisy_epr(0.5), INF4, 2),
                                   "NaN or infinite"),
+    # a NaN, infinite or degenerate real parameter
+    "three_qubit_spectra_compatible(NaN)": (lambda: q.three_qubit_spectra_compatible([math.nan] * 3),
+                                            r"must lie in \[1/2, 1\]"),
+    "three_qubit_state_from_spectra(NaN)": (lambda: q.three_qubit_state_from_spectra([math.nan] * 3),
+                                            r"must lie in \[1/2, 1\]"),
+    "w_polytope_check(NaN)": (lambda: q.w_polytope_check([math.nan] * 3), "all finite"),
+    "w_polytope_check(inf)": (lambda: q.w_polytope_check([1.0, 1.0, math.inf]), "all finite"),
+    "pauli_rotation(zero axis)": (lambda: q.pauli_rotation([0, 0, 0], 0.3), "nonzero finite axis"),
+    "pauli_rotation(NaN axis)": (lambda: q.pauli_rotation([math.nan, 0, 1], 0.3), "nonzero finite axis"),
+    "pauli_rotation(inf axis)": (lambda: q.pauli_rotation([math.inf, 0, 1], 0.3), "nonzero finite axis"),
+    "pauli_rotation(NaN angle)": (lambda: q.pauli_rotation([0, 0, 1], math.nan), "finite angle"),
+    "keyl_werner_estimate(r_true NaN)": (lambda: q.keyl_werner_estimate([1.0], 4, math.nan),
+                                         "r_true must be finite"),
+    "keyl_werner_estimate([NaN])": (lambda: q.keyl_werner_estimate([math.nan], 4),
+                                    "outcomes and r_true must be finite"),
+    "dilution_rank_bound(delta NaN)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 10, math.nan),
+                                       "finite delta >= 0"),
+    "dilution_rank_bound(delta inf)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 10, math.inf),
+                                       "finite delta >= 0"),
+    "typical_mass_lower_bound(delta 0)": (lambda: q.typical_mass_lower_bound([0.3, 0.7], 4, 0.0),
+                                          "delta > 0"),
+    "typical_mass_lower_bound(delta NaN)": (lambda: q.typical_mass_lower_bound([0.3, 0.7], 4, math.nan),
+                                            "delta > 0"),
 }
 
 
@@ -136,6 +161,76 @@ def test_refused(name):
     call, message = REFUSALS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# every count argument, read by tensor._count: (call on the count x, least value, a valid value)
+COUNTS = {
+    "typical_set(n)": (lambda x: q.typical_set([0.5, 0.5], x, 0.1), 1, 4),
+    "typical_set(mc_samples)": (lambda x: q.typical_set([0.5, 0.5], 30, 0.1, mc_samples=x), 1, 3),
+    "typical_mass_lower_bound(n)": (lambda x: q.typical_mass_lower_bound([0.3, 0.7], x, 0.1), 1, 4),
+    "typical_subspace_projector(n)": (
+        lambda x: q.typical_subspace_projector(q.DensityMatrix(np.diag([0.3, 0.7])), x, 0.1), 1, 2),
+    "compression_trial(n)": (lambda x: q.compression_trial([0.9, 0.1], x, 0.5, 5), 1, 10),
+    "compression_trial(trials)": (lambda x: q.compression_trial([0.9, 0.1], 10, 0.5, x), 1, 5),
+    "symmetric_dimension(d)": (lambda x: q.symmetric_dimension(x, 3), 1, 2),
+    "symmetric_dimension(n)": (lambda x: q.symmetric_dimension(2, x), 0, 3),
+    "estimation_overlap_exact(d)": (lambda x: q.estimation_overlap_exact(x, 3, 1), 1, 2),
+    "estimation_overlap_exact(n)": (lambda x: q.estimation_overlap_exact(2, x, 1), 1, 3),
+    "estimation_overlap_exact(k)": (lambda x: q.estimation_overlap_exact(2, 3, x), 0, 1),
+    "estimation_overlap(d)": (lambda x: q.estimation_overlap(x, 3, 1), 1, 2),
+    "definetti_error_bound(k)": (lambda x: q.definetti_error_bound(2, 3, x), 0, 1),
+    "spin_multiplicity(n)": (lambda x: q.spin_multiplicity(x, 0.5), 0, 3),
+    "spin_multiplicity_bound(n)": (lambda x: q.spin_multiplicity_bound(x, 0), 1, 4),
+    "spectrum_estimation_distribution(n)": (lambda x: q.spectrum_estimation_distribution(0.2, x), 0, 4),
+    "spectrum_tail_bound(n)": (lambda x: q.spectrum_tail_bound(0.1, x, 0), 1, 4),
+    "sample_spin_outcomes(size)": (lambda x: q.sample_spin_outcomes(0.2, 4, x, seed=1), 0, 5),
+    "keyl_werner_estimate(n)": (lambda x: q.keyl_werner_estimate([0.5, 1.5], x, 0.2), 1, 4),
+    "k_extendibility(k)": (lambda x: q.k_extendibility(q.noisy_epr(0.5), x), 2, 2),
+    "k_extendibility(max_iterations)": (
+        lambda x: q.k_extendibility(q.noisy_epr(0.5), 2, max_iterations=x), 1, 3),
+    "data_hiding_bias(d)": (lambda x: q.data_hiding_bias(x), 2, 3),
+    "bcy_inequality_check(k)": (lambda x: q.bcy_inequality_check(q.noisy_epr(0.5), np.eye(4) / 2, x), 1, 2),
+    "bcy_inequality_check(samples)": (
+        lambda x: q.bcy_inequality_check(q.noisy_epr(0.5), np.eye(4) / 2, 2, samples=x), 1, 5),
+    "h_n_ext(n)": (lambda x: q.h_n_ext(q.phi_plus().density().mat, (2, 2), x), 1, 2),
+    "h_sep_sampled(starts)": (lambda x: q.h_sep_sampled(q.phi_plus().density().mat, (2, 2), starts=x), 1, 2),
+    "motzkin_straus(n)": (lambda x: q.motzkin_straus(x, [(0, 1)]), 1, 3),
+    "werner_symmetric(d)": (lambda x: q.werner_symmetric(x), 1, 2),
+    "werner_antisymmetric(d)": (lambda x: q.werner_antisymmetric(x), 2, 2),
+    "distillation_yield(n)": (lambda x: q.distillation_yield([0.5, 0.5], x), 0, 6),
+    "dilution_rank_bound(n)": (lambda x: q.dilution_rank_bound(q.phi_plus(), [0], x, 0.1), 1, 10),
+    "teleport(force_outcome)": (lambda x: q.teleport(q.PureState(np.array([1, 0])), force_outcome=x), 0, 2),
+    "chsh_optimize(starts)": (lambda x: q.chsh_optimize(starts=x), 1, 2),
+}
+
+
+def same(a, b) -> bool:
+    """Equal values of equal types, through dataclasses, dicts, sequences and arrays;
+    callables (a report's predicate) are not compared."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return callable(a) or (type(a) is type(b) and a == b)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_count_is_read_by_one_rule(name):
+    call, least, valid = COUNTS[name]
+    # None is refused except where it means "not given": teleport then draws the outcome
+    for bad in (True, 2.5, math.nan, "3") + (() if name == "teleport(force_outcome)" else (None,)):
+        with pytest.raises(ValueError, match="^expected an integer, got "):
+            call(bad)
+    param = name[name.index("(") + 1:-1]
+    bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+    with pytest.raises(ValueError, match=f"^{param} must be {bound}, got {least - 1}$"):
+        call(least - 1)
+    assert same(call(float(valid)), call(valid))
 
 
 def test_kraus_channel_output_dimension():

@@ -345,6 +345,7 @@ FIXED_VALUES = {
     **{f"k_extendibility({kw})": (q.k_extendibility, (q.noisy_epr(0.5), 2), kw)
        for kw in ("eps_feasible", "eps_gap", "plateau_window", "plateau_rel")},
     **{f"h_sep_sampled({kw})": (q.h_sep_sampled, (np.eye(4), (2, 2)), kw) for kw in ("sweeps", "tol")},
+    **{f"chsh_optimize({kw})": (q.chsh_optimize, (1,), kw) for kw in ("sweep_tol", "max_sweeps")},
     "SchmidtDecomposition.rank(tol)": (q.schmidt(q.phi_plus(), 1).rank, (), "tol"),
     **{f"classify_three_qubit({kw})": (q.classify_three_qubit, (q.ghz_state(),), kw)
        for kw in ("rank_tol", "hyperdet_tol")},
