@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import binary_relative_entropy
+from .entropy import binary_entropy, binary_relative_entropy
 from .states import DensityMatrix, PureState
 from .tensor import _checked_dim, _count, _psd_sqrt, _strict_int, basis_digits
 
@@ -197,6 +197,8 @@ def _j_values(n: int) -> list[float]:
 def spin_multiplicity(n: int, j: float) -> int:
     """m_j^(n) = C(n, n/2 - j) - C(n, n/2 - j - 1), exact integers."""
     n = _count(n, 0, "n")
+    if not math.isfinite(j):
+        raise ValueError(f"j must be finite, got {j}")
     two_j = round(2 * j)
     if not 0 <= two_j <= n or (n - two_j) % 2:
         return 0
@@ -204,15 +206,18 @@ def spin_multiplicity(n: int, j: float) -> int:
     return math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
 
 
+def _spin_fraction(n: int, j: float) -> float:
+    """1/2 + j/n for a spin j of n >= 1 qubits; ValueError unless it lies in [0, 1]."""
+    x = 0.5 + j / n
+    if not 0.0 <= x <= 1.0:  # also refuses NaN
+        raise ValueError("j/n out of range")
+    return x
+
+
 def spin_multiplicity_bound(n: int, j: float) -> float:
     """m_j^(n) <= 2^{n h(1/2 + j/n)} via the binomial entropy bound."""
     n = _count(n, 1, "n")
-    x = 0.5 + j / n
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("j/n out of range")
-    from .entropy import binary_entropy
-
-    return 2.0 ** (n * binary_entropy(min(x, 1.0)))
+    return 2.0 ** (n * binary_entropy(_spin_fraction(n, j)))
 
 
 @dataclass(frozen=True)
@@ -296,10 +301,10 @@ def spectrum_tail_bound(r: float, n: int, j: float) -> float:
     Pr[j] <= c * 2^{-n delta(1/2 + j/n || 1/2 + r)} with c = (1/2 + r)/(2r).
     """
     n = _count(n, 1, "n")
+    x = _spin_fraction(n, j)
     if r <= 0:
         return math.inf
-    x = 0.5 + j / n
-    dl = binary_relative_entropy(min(x, 1.0), 0.5 + r)
+    dl = binary_relative_entropy(x, 0.5 + r)
     if math.isinf(dl):
         return 0.0
     return (0.5 + r) / (2 * r) * 2.0 ** (-n * dl)

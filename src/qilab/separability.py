@@ -39,8 +39,16 @@ def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> PptV
     return PptVerdict(lo >= -1e-10, lo, spec)
 
 
+def _operator_on(m: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """``m`` as a finite complex matrix of the shape of ``rho``, else ValueError."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != rho.mat.shape:
+        raise ValueError(f"operator of shape {m.shape} does not act on a state of dimension {rho.dim}")
+    return _finite(m)
+
+
 def witness_value(w: np.ndarray, rho: DensityMatrix) -> float:
-    return float(np.trace(_finite(np.asarray(w)) @ rho.mat).real)
+    return float(np.trace(_operator_on(w, rho) @ rho.mat).real)
 
 
 def flip_witness() -> np.ndarray:
@@ -233,7 +241,7 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
         raise ValueError("state must be bipartite")
     k, samples = _count(k, 1, "k"), _count(samples, 1, "samples")
     d_a, d_b = rho.dims
-    m = _finite(np.asarray(measurement, dtype=complex))
+    m = _operator_on(measurement, rho)
     rhs = math.sqrt(2 * math.log(2) * math.log2(d_a) / k)
     rng = np.random.default_rng(seed)
     # one product vector a x b per row, a drawn before b for each sample
@@ -256,9 +264,13 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     A x Sym^n(B) in the type basis: |t> = sum_b sqrt(t_b/n) |b>|t - e_b>
     maps Sym^n into C^{d_B} x Sym^{n-1}, where M x I acts.
     """
-    m = _finite(_as_matrix(m))
+    m = _as_matrix(m)
     d_a, d_b = _check_dims(m.shape[0], dims)
     n = _count(n, 1, "n")
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf or overflow: refused below
+        h = ((m + m.conj().T) / 2).reshape(d_a, d_b, d_a, d_b)  # makes op exactly Hermitian
+    if not np.isfinite(h).all():
+        raise ValueError("operator has NaN or infinite entries, or its Hermitian part overflows")
     s = math.comb(n + d_b - 1, n)
     _checked_dim(d_a * s)
     index = {t: i for i, (t, _) in enumerate(_iter_types(n, d_b))}
@@ -266,7 +278,6 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     up = np.array([[index[tuple(t)] for t in v + np.eye(d_b, dtype=int)] for v in u])
     w = np.sqrt((u + 1) / n)  # up[:, b] is t = u + e_b, w[:, b] its sqrt(t_b/n)
     b, c = np.indices((d_b, d_b)).reshape(2, -1)
-    h = ((m + m.conj().T) / 2).reshape(d_a, d_b, d_a, d_b)  # makes op exactly Hermitian
     op = np.zeros((d_a, s, d_a, s), dtype=complex)
     # the pairs (t, t') repeat across (b, b') only on the diagonal b = b'
     np.add.at(op, (slice(None), up[:, b], slice(None), up[:, c]),

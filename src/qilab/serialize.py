@@ -91,5 +91,5 @@ def load_state_or_density(path: str) -> PureState | DensityMatrix:
     m, dims = matrix_from_json(obj)
     try:
         return DensityMatrix(m, dims)
-    except (ValueError, FloatingPointError) as exc:  # the latter for entries that overflow
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -12,11 +12,11 @@ from .tensor import (
     _check_dims,
     _checked_dim,
     _count,
+    _hermitian,
     _psd_sqrt,
     _strict_int,
     _subsystems,
     hermitian_eig,
-    is_hermitian,
     partial_trace,
     swap_operator,
 )
@@ -96,15 +96,10 @@ class DensityMatrix:
     dims: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        with np.errstate(over="raise", invalid="raise"):  # huge or inf entries: FloatingPointError
-            if not is_hermitian(m):
-                raise ValueError("density matrix is not Hermitian within 1e-9")
-            m = (m + m.conj().T) / 2
+        m = _hermitian(self.mat, "density matrix")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is refused below
             tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1 within 1e-9")
         lo = _negative_eigenvalue(m)
         if lo is not None:
@@ -135,16 +130,14 @@ class Povm:
         if not els:
             raise ValueError("POVM needs at least one element")
         d = els[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for e in els:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share one square shape")
-            if not is_hermitian(e):
-                raise ValueError("POVM element not Hermitian")
-            if _negative_eigenvalue((e + e.conj().T) / 2) is not None:
+            if _negative_eigenvalue(_hermitian(e, "POVM element")) is not None:
                 raise ValueError("POVM element not PSD within 1e-9")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > PSD_TOL:
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
+            total = sum(els)
+        if not np.max(np.abs(total - np.eye(d))) <= PSD_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-9")
         object.__setattr__(self, "elements", els)
 
@@ -215,9 +208,10 @@ def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
 
 def post_measurement(rho: DensityMatrix, projector: np.ndarray) -> tuple[float, DensityMatrix]:
     """Project and renormalize: (p, P rho P / p) for a projector P."""
-    p_op = np.asarray(projector, dtype=complex)
-    if np.max(np.abs(p_op @ p_op - p_op)) > 1e-9 or not is_hermitian(p_op):
-        raise ValueError("projector must satisfy P^2 = P = P^dag within 1e-9")
+    p_op = _hermitian(projector, "projector")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing P^2 fails the test
+        if not np.max(np.abs(p_op @ p_op - p_op)) <= 1e-9:
+            raise ValueError("projector must satisfy P^2 = P = P^dag within 1e-9")
     prob = float(np.trace(p_op @ rho.mat).real)
     if prob < ZERO_PROB:
         raise ZeroProbabilityError(f"outcome probability {prob} below {ZERO_PROB}")
@@ -299,12 +293,19 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
 
 
 def pauli_rotation(axis: Sequence[float], angle: float) -> np.ndarray:
-    """exp(i angle/2 n.sigma) for a unit axis n (closed form)."""
+    """exp(i angle/2 n.sigma) for the unit axis n along ``axis`` (closed form).
+
+    The axis is divided by its largest |n_i| before its norm is taken, so a
+    huge finite axis gives the matrix of its direction.
+    """
     n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if not (0 < norm < math.inf and math.isfinite(angle)):  # also rejects NaN
+    if n.shape != (3,):
+        raise ValueError(f"axis must have length 3, got shape {n.shape}")
+    scale = np.max(np.abs(n))
+    if not (0 < scale < math.inf and math.isfinite(angle)):  # also rejects NaN
         raise ValueError("need a nonzero finite axis and a finite angle")
-    n = n / norm
+    n = n / scale
+    n = n / np.linalg.norm(n)
     s = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
     return math.cos(angle / 2) * I2 + 1j * math.sin(angle / 2) * s
 
@@ -318,8 +319,9 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
 
 def bloch_state(r: Sequence[float]) -> DensityMatrix:
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or not np.linalg.norm(r) <= 1 + 1e-10:
-        raise ValueError("Bloch vector must be length-3 with norm <= 1")
+    with np.errstate(over="ignore"):  # a huge vector's norm overflows to inf, refused here
+        if r.shape != (3,) or not np.linalg.norm(r) <= 1 + 1e-10:
+            raise ValueError("Bloch vector must be length-3 with norm <= 1")
     m = (I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
     return DensityMatrix(m)
 

@@ -136,12 +136,28 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[i
     return t.transpose(axes).reshape(m.shape)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian part (m + m^dag)/2 of the square operator ``m``; ValueError naming
+    ``what`` if the defect max|m - m^dag| exceeds HERMITICITY_TOL or the part is not finite
+    (NaN, inf and overflow, ignored while both are computed, each fail one of the two)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got {m.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(m - m.conj().T), initial=0.0)
+        h = (m + m.conj().T) / 2
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
+    if not np.isfinite(h).all():
+        raise ValueError(f"{what} has entries too large: its Hermitian part overflows")
+    return h
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    try:
+        return _hermitian(m, "matrix") is not None
+    except ValueError:
         return False
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        return np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -163,13 +179,7 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     the input is symmetrized before factorization, so the returned
     eigenvalues are exactly real.
     """
-    m = _as_matrix(m)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
-    h = (m + m.conj().T) / 2
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hermitian(m, "matrix"))
     order = np.argsort(vals)[::-1]
     return EigDecomposition(vals[order], vecs[:, order])
 
@@ -191,12 +201,9 @@ def trace_norm(m: np.ndarray) -> float:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """D(a, b) = (1/2)||a - b||_1 for Hermitian a, b of equal size."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
+    a, b = _hermitian(a, "first operand"), _hermitian(b, "second operand")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if not is_hermitian(a) or not is_hermitian(b):
-        raise ValueError("trace_distance expects Hermitian operands")
     return 0.5 * trace_norm(a - b)
 
 

@@ -19,6 +19,8 @@ from qilab.tensor import trace_distance, trace_norm
 QUTRIT = np.eye(3) / 3
 M23 = np.eye(6) / 6  # an operator on C^2 x C^3
 NAN4, INF4 = (np.diag([x, 1.0, 1.0, 1.0]) for x in (math.nan, math.inf))
+HUGE4 = np.zeros((4, 4))
+HUGE4[0, 1] = HUGE4[1, 0] = 1.7e308  # Hermitian, with a Hermitian part that overflows
 
 # name: (call, expected message)
 REFUSALS = {
@@ -81,7 +83,7 @@ REFUSALS = {
     # squares to the identity but is not Hermitian
     "bell_operator(non-Hermitian involution)": (
         lambda: q.bell_operator(np.array([[0, 2], [0.5, 0]]), np.eye(2), np.eye(2), np.eye(2)),
-        "must be Hermitian"),
+        "^observable is not Hermitian"),
     # subsystem indices, counts and dimensions are integers, never truncated
     "partial_trace(keep [0.7])": (lambda: q.partial_trace(M23, (2, 3), [0.7]), "expected an integer"),
     "partial_trace(keep [True])": (lambda: q.partial_trace(M23, (2, 3), [True]), "expected an integer"),
@@ -118,7 +120,7 @@ REFUSALS = {
     # a NaN or infinite operator entry, where a number is read off the operator
     "hermitian_eig(NaN)": (lambda: q.hermitian_eig(NAN4), "not Hermitian"),
     "hermitian_eig(inf)": (lambda: q.hermitian_eig(INF4), "not Hermitian"),
-    "trace_distance(inf)": (lambda: trace_distance(INF4, np.eye(4) / 4), "expects Hermitian"),
+    "trace_distance(inf)": (lambda: trace_distance(INF4, np.eye(4) / 4), "^first operand is not Hermitian"),
     "trace_norm(NaN)": (lambda: trace_norm(NAN4), "NaN or infinite"),
     "h_sep_sampled(NaN)": (lambda: q.h_sep_sampled(NAN4, (2, 2)), "NaN or infinite"),
     "h_sep_sampled(5 x 5)": (lambda: q.h_sep_sampled(np.eye(5), (2, 2)), "imply size 4"),
@@ -130,6 +132,17 @@ REFUSALS = {
                                   "NaN or infinite"),
     "bcy_inequality_check(inf)": (lambda: q.bcy_inequality_check(q.noisy_epr(0.5), INF4, 2),
                                   "NaN or infinite"),
+    "h_n_ext(Hermitian part overflows)": (lambda: q.h_n_ext(HUGE4, (2, 2), 2), "Hermitian part overflows"),
+    # entries that are finite but whose sum overflows
+    "DensityMatrix(trace overflows)": (lambda: q.DensityMatrix(np.diag([8e307] * 3)), "^trace inf is not 1"),
+    "Povm(sum overflows)": (lambda: q.Povm((np.diag([8e307, 0.0]),) * 3), "do not sum to identity"),
+    # an operator of another size than the state
+    "witness_value(2 x 2 on two qubits)": (
+        lambda: q.witness_value(np.eye(2), q.noisy_epr(0.5)),
+        r"^operator of shape \(2, 2\) does not act on a state of dimension 4$"),
+    "bcy_inequality_check(3 x 3 on two qubits)": (
+        lambda: q.bcy_inequality_check(q.noisy_epr(0.5), np.eye(3), 2),
+        r"^operator of shape \(3, 3\) does not act on a state of dimension 4$"),
     # a NaN, infinite or degenerate real parameter
     "three_qubit_spectra_compatible(NaN)": (lambda: q.three_qubit_spectra_compatible([math.nan] * 3),
                                             r"must lie in \[1/2, 1\]"),
@@ -141,6 +154,11 @@ REFUSALS = {
     "pauli_rotation(NaN axis)": (lambda: q.pauli_rotation([math.nan, 0, 1], 0.3), "nonzero finite axis"),
     "pauli_rotation(inf axis)": (lambda: q.pauli_rotation([math.inf, 0, 1], 0.3), "nonzero finite axis"),
     "pauli_rotation(NaN angle)": (lambda: q.pauli_rotation([0, 0, 1], math.nan), "finite angle"),
+    "pauli_rotation(length-2 axis)": (lambda: q.pauli_rotation([1, 0], 1.0), "^axis must have length 3"),
+    "bloch_state(huge)": (lambda: q.bloch_state([1e200, 0, 0]), "norm <= 1"),
+    "spin_multiplicity(j inf)": (lambda: q.spin_multiplicity(4, math.inf), "^j must be finite, got inf$"),
+    "spectrum_tail_bound(j > n/2)": (lambda: q.spectrum_tail_bound(0.2, 10, 100), "^j/n out of range$"),
+    "spectrum_tail_bound(j inf)": (lambda: q.spectrum_tail_bound(0.2, 10, math.inf), "^j/n out of range$"),
     "keyl_werner_estimate(r_true NaN)": (lambda: q.keyl_werner_estimate([1.0], 4, math.nan),
                                          "r_true must be finite"),
     "keyl_werner_estimate([NaN])": (lambda: q.keyl_werner_estimate([math.nan], 4),
@@ -161,6 +179,35 @@ def test_refused(name):
     call, message = REFUSALS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# operators at the float limit: the Hermiticity defect overflows, or the Hermitian part does
+FLOAT_LIMIT = {
+    "defect": (np.array([[0, 1e308], [-1e308, 0]]), "not Hermitian"),
+    "Hermitian part": (np.diag([1.7e308, 1.7e308]), "Hermitian part overflows"),
+}
+# every reader of a Hermitian-operator argument, on a 2 x 2 operator m
+HERMITIAN_ARGUMENTS = {
+    "hermitian_eig": q.hermitian_eig,
+    "trace_distance": lambda m: trace_distance(m, np.eye(2) / 2),
+    "DensityMatrix": q.DensityMatrix,
+    "Povm": lambda m: q.Povm((m, np.eye(2) - m)),
+    "post_measurement": lambda m: q.post_measurement(q.maximally_mixed(2), m),
+    "bell_operator": lambda m: q.bell_operator(m, np.eye(2), np.eye(2), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("overflow", sorted(FLOAT_LIMIT))
+def test_float_limit_operator_is_not_hermitian(overflow):
+    assert q.is_hermitian(FLOAT_LIMIT[overflow][0]) is False
+
+
+@pytest.mark.parametrize("reader", sorted(HERMITIAN_ARGUMENTS))
+@pytest.mark.parametrize("overflow", sorted(FLOAT_LIMIT))
+def test_float_limit_operator_is_refused(overflow, reader):
+    m, message = FLOAT_LIMIT[overflow]
+    with pytest.raises(ValueError, match=message):
+        HERMITIAN_ARGUMENTS[reader](m)
 
 
 # every count argument, read by tensor._count: (call on the count x, least value, a valid value)

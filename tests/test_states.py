@@ -25,9 +25,9 @@ def test_density_matrix_validation():
     for dims in ((-2, -2), (-1, -4)):  # the product matches the size
         with pytest.raises(ValueError, match="positive"):
             q.DensityMatrix(np.eye(4) / 4, dims=dims)
-    # entries near the float limit overflow the checks: an error, not a warning
+    # entries near the float limit overflow the checks: a ValueError, not a warning
     for m in (np.diag([1.7e308, 1.7e308]), np.array([[0, 1.7e308], [-1.7e308, 0]])):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(ValueError):
             q.DensityMatrix(m)
 
 
@@ -295,6 +295,13 @@ def test_pauli_rotation_matches_expm():
     h = n[0] * q.states.PAULI_X + n[1] * q.states.PAULI_Y + n[2] * q.states.PAULI_Z
     assert np.allclose(u, scipy.linalg.expm(1j * angle / 2 * h), atol=1e-12)
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+
+def test_pauli_rotation_reads_a_huge_axis_as_its_direction():
+    assert np.array_equal(q.pauli_rotation([1e200, 0, 0], 1.0), q.pauli_rotation([1, 0, 0], 1.0))
+    for axis in ([1.0, 2.0, 2.0], [0.0, -3.0, 4.0]):  # scaling by 2^660 is exact
+        assert np.array_equal(q.pauli_rotation(np.multiply(axis, 2.0**660), 1.0),
+                              q.pauli_rotation(axis, 1.0))
 
 
 def test_random_unitary_and_separable_sampler():

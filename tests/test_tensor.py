@@ -14,6 +14,7 @@ from qilab.tensor import (
     EigDecomposition,
     _check_dims,
     _checked_dim,
+    _hermitian,
     _strict_int,
     hermitian_eig,
     is_hermitian,
@@ -110,6 +111,29 @@ def test_hermitian_eig_rejects_nonhermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         hermitian_eig(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), defect=st.floats(0.0, 0.99e-9),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]))
+def test_hermitian_reader_returns_the_hermitian_part(d, seed, defect, scale):
+    rng = np.random.default_rng(seed)
+    # an exactly Hermitian matrix plus a perturbation of entries at most defect/2 in modulus
+    h = random_hermitian(d, rng) * scale
+    p = rng.uniform(-1, 1, size=(d, d)) + 1j * rng.uniform(-1, 1, size=(d, d))
+    m = h + p * (defect / (2 * math.sqrt(2)))
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-9
+    got = _hermitian(m, "m")
+    want = (m + m.conj().T) / 2
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert is_hermitian(m)
+    # one NaN or infinite part of one entry, and the reader refuses the matrix
+    bad = m.copy()
+    i, j = rng.integers(d, size=2)
+    (bad.real if rng.integers(2) else bad.imag)[i, j] = rng.choice([math.nan, math.inf, -math.inf])
+    with pytest.raises(ValueError, match="^m is not Hermitian"):
+        _hermitian(bad, "m")
+    assert not is_hermitian(bad)
 
 
 def test_trace_norm_is_sum_of_abs_eigenvalues():
