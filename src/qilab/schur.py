@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,6 +171,75 @@ def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for a in (f, q, w):
         a.setflags(write=False)
     return f, q, w
+
+
+class _GlGenerators(NamedTuple):
+    """Nonzero entries of G_lam[c, C, s, t], sorted by (c d + C, lam, s, t)."""
+    lam: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    cc: np.ndarray  # c d + C
+    g: np.ndarray
+    cc_starts: np.ndarray  # where the run of each of the d^2 generators begins
+    by_block: np.ndarray  # the permutation that sorts the entries by (lam, s, t) instead
+    block_starts: np.ndarray  # where the run of each (lam, s, t) begins in that order
+
+
+@functools.lru_cache(maxsize=8)
+def _gl_generators(d: int, k: int) -> _GlGenerators:
+    """The gl(d) generators J_cC = sum_j E_cC^(j) on each Q_lam, as the entries
+    G_lam[c, C, s, t] = <w_s| J_cC |w_t> in the basis of ``_schur_weyl_basis(d, k)``.
+
+    Column s of w[lam] has the weight of semistandard filling s: the QR keeps
+    the fillings in order, and fillings of different weight stay orthogonal.
+    J_cC moves weight by e_c - e_C, so G is zero unless wt(s) - e_c =
+    wt(t) - e_C =: rho.  For each rho, with A[(j, r), (c, s)] = <x| w_s> where
+    x is the string r of weight rho with digit c inserted at position j, the
+    entries are A^T A.  Weights are keyed by their digits in increasing order,
+    read as a base-d number.  The arrays are cached, so read-only.
+    """
+    _, q, w = _schur_weyl_basis(d, k)
+    place = d ** np.arange(k - 1, -1, -1)
+    rest = np.arange(d ** (k - 1))
+    # x[j, r, c]: the string r of k - 1 digits with c inserted at position j
+    high, low = np.divmod(rest, place[:, None])
+    x = (high * d * place[:, None] + low)[:, :, None] + np.arange(d) * place[:, None, None]
+    rows = _group_by(np.sort(rest // place[1:, None] % d, axis=0).T @ place[1:])  # r by weight
+    drop = np.array([np.delete(np.arange(k), p) for p in range(k)])
+    parts = []
+    for l, shape in enumerate(_partitions(k, d)):
+        fill = np.sort(_semistandard_indices(shape, d)[:, None] // place % d, axis=1)
+        first = np.ones(fill.shape, dtype=bool)  # each distinct digit c of a filling once
+        first[:, 1:] = fill[:, 1:] != fill[:, :-1]
+        s, p = np.nonzero(first)
+        c = fill[s, p]
+        # the pairs (c, s) by the weight wt(s) - e_c, the filling's digits without that c
+        for key, sel in _group_by((fill[:, drop] @ place[1:])[s, p]).items():
+            a = w[l][x[:, rows[key]][:, :, c[sel]], s[sel]].reshape(-1, sel.size)
+            g = a.T @ a
+            cc = c[sel, None] * d + c[sel]
+            parts.append(np.broadcast_arrays(l, s[sel, None], s[sel], cc, g))
+    lam, s, t, cc, g = (np.concatenate([p[i].ravel() for p in parts]) for i in range(5))
+    order = np.lexsort((t, s, lam, cc))
+    lam, s, t, cc, g = lam[order], s[order], t[order], cc[order], g[order]
+    # np.add.reduceat needs every run non-empty: each (lam, s, t) run is by
+    # construction, and each generator has entries on lam = (k)
+    assert np.bincount(cc[lam == 0], minlength=d * d).all(), "a generator misses lam = (k)"
+    cc_starts = np.searchsorted(cc, np.arange(d * d))
+    by_block = np.lexsort((cc, t, s, lam))
+    block = (lam * q.max() + s)[by_block] * q.max() + t[by_block]
+    block_starts = np.flatnonzero(np.diff(block, prepend=-1))
+    out = _GlGenerators(lam, s, t, cc, g, cc_starts, by_block, block_starts)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _group_by(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """The positions of each distinct key, in increasing order."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(uniq.tolist(), np.split(order, starts[1:])))
 
 
 def _blocks_to_operator(x: np.ndarray, d_a: int, d: int, k: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import _iter_types
-from .schur import _blocks_to_operator, _schur_weyl_basis
+from .schur import _blocks_to_operator, _gl_generators, _schur_weyl_basis
 from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
     _as_matrix,
@@ -99,14 +99,49 @@ class FeasibilityReport:
     extension: np.ndarray | None
 
 
-def _marginal_inverse(m: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
-    """Inverse of L(D) = tr_{B2..Bk} sym(D x I/d_B^{k-1}) on A B_1 operators.
+def _marginal_inverse(m: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of L(D) = tr_{B2..Bk} sym(D x I/d_B^{k-1}) on A B_1 operators,
+    each kept as the stack m[c d_B + C] = <c|D|C> of d_A x d_A blocks.
 
     L(D) = D/k + ((k-1)/k) tr_B(D) x I/d_B, and L preserves tr_B, hence
     L^{-1}(M) = k M - (k-1) tr_B(M) x I/d_B.
     """
-    tr_b = np.trace(m.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
-    return k * m - (k - 1) / d_b * (tr_b[:, None, :, None] * np.eye(d_b)[:, None]).reshape(m.shape)
+    d_b = math.isqrt(len(m))
+    out = k * m
+    out[::d_b + 1] -= (k - 1) / d_b * m[::d_b + 1].sum(axis=0)
+    return out
+
+
+def _affine_maps(d_a: int, d_b: int, k: int):
+    """The A B_1 marginal of the padded block stacks of ``_schur_weyl_basis(d_b, k)``
+    and its adjoint ``correction``, the blocks of sym(D x I/d_B^{k-1}).  A B_1
+    operators are kept as in ``_marginal_inverse``.  Both are sums over the
+    entries G_lam[c, C, s, t] of the gl(d_B) generators (``_gl_generators``):
+
+        marginal(X)[c C] = sum_lam (f_lam/k) sum_{s,t} G_lam[c, C, s, t] X_lam[(., s), (., t)]
+        correction(D)_lam[(., s), (., t)] = sum_{c,C} G_lam[c, C, s, t] D[c C] / (k d_B^{k-1})
+
+    Each is one gather, scaled, then summed over runs of entries by np.add.reduceat.
+    """
+    f, _, w = _schur_weyl_basis(d_b, k)
+    n, dim_b, q_max = w.shape
+    gen = _gl_generators(d_b, k)
+    at = (gen.lam, slice(None), gen.s, slice(None), gen.t)
+    g_marg = (gen.g * f[gen.lam] / k)[:, None, None]
+    cc, g_corr = gen.cc[gen.by_block], (gen.g[gen.by_block] / (k * dim_b // d_b))[:, None, None]
+    first = gen.by_block[gen.block_starts]
+    blocks = (gen.lam[first], slice(None), gen.s[first], slice(None), gen.t[first])
+    shape = (n, d_a, q_max, d_a, q_max)  # block rows are (a, s), padded in s
+
+    def marginal(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x.reshape(shape)[at] * g_marg, gen.cc_starts, axis=0)
+
+    def correction(delta: np.ndarray) -> np.ndarray:
+        z = np.zeros(shape, dtype=complex)
+        z[blocks] = np.add.reduceat(delta[cc] * g_corr, gen.block_starts, axis=0)
+        return z.reshape(n, d_a * q_max, d_a * q_max)
+
+    return marginal, correction
 
 
 def _project_psd_blocks(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -127,6 +162,9 @@ def k_extendibility(rho: DensityMatrix, k: int,
     equals rho.  The iterates commute with those permutations and are kept
     as Schur-Weyl blocks X_lam on C^{d_A} x Q_lam; the exact affine step adds
     the blocks of sym(L^{-1}(rho - marginal) x I), L inverted in closed form.
+    Each iteration is one batched eigh over the blocks plus two sparse
+    contractions with the gl(d_B) generators on each Q_lam (``_affine_maps``),
+    so nothing with d_B^k rows is touched in the loop.
 
     A residual below 1e-7 yields Feasible with the extension attached.  A
     plateau (a relative change below 1e-10 over 100 iterations) above 1e-4
@@ -139,33 +177,16 @@ def k_extendibility(rho: DensityMatrix, k: int,
     d_a, d_b = rho.dims
     _checked_dim(d_a * _checked_dim(d_b, k))
     f, q, w = _schur_weyl_basis(d_b, k)
-    n, dim_b, q_max = w.shape
-    m, rest, ab_shape = d_a * q_max, dim_b // d_b, rho.mat.shape
-    # u[l, s, j, c, r]: column s of w[l] with factor B_j first (c), the others flat (r)
-    u = np.stack([np.moveaxis(w.reshape((n,) + (d_b,) * k + (q_max,)), 1 + j, 1)
-                  for j in range(k)], axis=-1).reshape(n, d_b, rest, q_max, k)
-    u = np.ascontiguousarray(u.transpose(0, 3, 4, 1, 2), dtype=complex)
-    u_rows = u.reshape(n, q_max, k * dim_b)
-    u_marg = (u * (f / k)[:, None, None, None, None]).transpose(3, 0, 1, 2, 4).reshape(d_b, -1)
-    keep = np.arange(m) % q_max < q[:, None]  # block rows are (a, s), padded in s
+    n, _, q_max = w.shape
+    marginal, correction = _affine_maps(d_a, d_b, k)
+    keep = np.arange(d_a * q_max) % q_max < q[:, None]  # block rows are (a, s), padded in s
     keep = keep[:, :, None] & keep[:, None, :]
-
-    def marginal(x: np.ndarray) -> np.ndarray:  # sum_lam (f_lam/k) sum_j tr_{B - B_j}
-        t = (x.reshape(n, -1, q_max) @ u_rows).reshape(n, d_a, q_max, d_a, k, d_b, rest)
-        t = t.transpose(0, 2, 4, 6, 1, 3, 5).reshape(-1, d_a * d_a * d_b)
-        return (u_marg @ t).reshape(d_b, d_a, d_a, d_b).transpose(1, 0, 2, 3).reshape(ab_shape)
-
-    def correction(delta: np.ndarray) -> np.ndarray:  # blocks of sym(delta x I/d_B^{k-1})
-        g = delta.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 2, 3).reshape(d_b, -1)
-        g = (u.reshape(-1, d_b, rest).transpose(0, 2, 1) @ g).reshape(
-            n, q_max, k, rest, d_a, d_a, d_b).transpose(0, 1, 4, 5, 2, 6, 3)
-        h = g.reshape(n, q_max * d_a * d_a, k * dim_b) @ u_rows.transpose(0, 2, 1) / (k * rest)
-        return h.reshape(n, q_max, d_a, d_a, q_max).transpose(0, 2, 1, 3, 4).reshape(n, m, m)
+    rho_cc = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(-1, d_a, d_a)
 
     def project_affine(x: np.ndarray) -> np.ndarray:
-        return x + correction(_marginal_inverse(rho.mat - marginal(x), d_a, d_b, k))
+        return x + correction(_marginal_inverse(rho_cc - marginal(x), k))
 
-    x = project_affine(correction(rho.mat))
+    x = correction(_marginal_inverse(rho_cc, k))  # = project_affine(correction(rho))
     p_corr = np.zeros_like(x)
     history: list[float] = []
     residual = math.inf
@@ -299,19 +320,26 @@ def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
     m = _finite(_as_matrix(m))
     d_a, d_b = _check_dims(m.shape[0], dims)
     m = m.reshape(d_a, d_b, d_a, d_b)
+
+    def ascend(spec: str, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """Top eigenvector and eigenvalue of the Hermitian part of M conditioned on v."""
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+            c = np.einsum(spec, m, v.conj(), v)
+            c = (c + c.conj().T) / 2
+        if not np.isfinite(c).all():
+            raise ValueError("operator has entries too large: a conditioned operator overflows")
+        vals, vecs = np.linalg.eigh(c)
+        return vecs[:, -1], float(vals[-1])
+
     rng = np.random.default_rng(seed)
     best = -math.inf
     for _ in range(starts):
         b = random_pure_state(d_b, rng).amps
         val = -math.inf
         for _ in range(200):
-            ma = np.einsum("aBAb,B,b->aA", m, b.conj(), b)
-            vals, vecs = np.linalg.eigh((ma + ma.conj().T) / 2)
-            a = vecs[:, -1]
-            mb = np.einsum("aBAb,a,A->Bb", m, a.conj(), a)
-            vals, vecs = np.linalg.eigh((mb + mb.conj().T) / 2)
-            b = vecs[:, -1]
-            gain, val = vals[-1] - val, float(vals[-1])
+            a, _ = ascend("aBAb,B,b->aA", b)
+            b, top = ascend("aBAb,a,A->Bb", a)
+            gain, val = top - val, top
             if gain < 1e-12:
                 break
         best = max(best, val)

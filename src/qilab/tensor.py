@@ -196,7 +196,11 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {m.ndim}")
-    return float(np.sum(np.linalg.svd(_finite(m), compute_uv=False)))
+    with np.errstate(over="ignore"):  # an unrepresentable norm is refused below
+        norm = float(np.sum(np.linalg.svd(_finite(m), compute_uv=False)))
+    if not math.isfinite(norm):
+        raise ValueError("trace norm overflows")
+    return norm
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,6 +208,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _hermitian(a, "first operand"), _hermitian(b, "second operand")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    # the Hermitian parts' entries are at most half the float limit, so a - b is finite
     return 0.5 * trace_norm(a - b)
 
 

@@ -28,6 +28,9 @@ REFUSALS = {
     "tensor()": (lambda: q.tensor(), "at least one operand"),
     "trace_norm(vector)": (lambda: trace_norm(np.ones(3)), "expected a matrix"),
     "trace_distance(shape mismatch)": (lambda: trace_distance(np.eye(2) / 2, QUTRIT), "shape mismatch"),
+    "trace_norm(sum overflows)": (lambda: trace_norm(np.diag([1e308, 1e308])), "trace norm overflows"),
+    "trace_distance(norm overflows)": (lambda: trace_distance(np.diag([8e307] * 3), -np.diag([8e307] * 3)),
+                                       "trace norm overflows"),
     # states
     "DensityMatrix(non-square)": (lambda: q.DensityMatrix(np.ones((2, 3)) / 2), "must be square"),
     "Povm(empty)": (lambda: q.Povm(()), "at least one element"),
@@ -123,6 +126,8 @@ REFUSALS = {
     "trace_distance(inf)": (lambda: trace_distance(INF4, np.eye(4) / 4), "^first operand is not Hermitian"),
     "trace_norm(NaN)": (lambda: trace_norm(NAN4), "NaN or infinite"),
     "h_sep_sampled(NaN)": (lambda: q.h_sep_sampled(NAN4, (2, 2)), "NaN or infinite"),
+    "h_sep_sampled(conditioned operator overflows)": (lambda: q.h_sep_sampled(HUGE4, (2, 2)),
+                                                      "conditioned operator overflows"),
     "h_sep_sampled(5 x 5)": (lambda: q.h_sep_sampled(np.eye(5), (2, 2)), "imply size 4"),
     "h_sep_sampled(dims (2.5, 1.6))": (lambda: q.h_sep_sampled(np.eye(4), (2.5, 1.6)), "expected an integer"),
     "h_n_ext(NaN)": (lambda: q.h_n_ext(NAN4, (2, 2), 2), "NaN or infinite"),

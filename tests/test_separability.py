@@ -8,16 +8,24 @@ import numpy as np
 import pytest
 
 import qilab as q
-from qilab.schur import _blocks_to_operator, _schur_weyl_basis
+from qilab.schur import _blocks_to_operator, _gl_generators, _schur_weyl_basis
 from qilab.separability import (
     FeasibilityReport,
     FeasStatus,
+    _affine_maps,
     _marginal_inverse,
     _max_clique,
     _project_psd_blocks,
 )
 from qilab.tensor import partial_trace, permutation_operator, tensor, trace_distance
-from tests_helpers_schur import symmetrize_b, to_schur_weyl_blocks
+from tests_helpers_schur import (
+    from_cc,
+    symmetrize_b,
+    to_cc,
+    to_schur_weyl_blocks,
+    u_correction,
+    u_marginal,
+)
 
 RNG = np.random.default_rng(31)
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -122,7 +130,8 @@ def test_marginal_inverse_matches_pinv_of_probed_map(d_a, d_b, k):
     for _ in range(3):
         m = random_operator(d_ab)
         expected = (l_inv @ m.reshape(-1)).reshape(d_ab, d_ab)
-        assert np.max(np.abs(_marginal_inverse(m, d_a, d_b, k) - expected)) <= 1e-12
+        got = from_cc(_marginal_inverse(to_cc(m, d_a, d_b), k), d_a, d_b)
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_k_extendibility_feasible_returns_valid_extension():
@@ -163,7 +172,8 @@ def k_extendibility_full_space(rho, k, eps_feasible=1e-7, eps_gap=1e-4, max_iter
 
     def project_affine(x):
         y = symmetrize_b(x, d_a, d_b, k)
-        delta = _marginal_inverse(rho.mat - partial_trace(y, dims_ext, [0, 1]), d_a, d_b, k)
+        marg = to_cc(rho.mat - partial_trace(y, dims_ext, [0, 1]), d_a, d_b)
+        delta = from_cc(_marginal_inverse(marg, k), d_a, d_b)
         return y + symmetrize_b(tensor(delta, eye_rest), d_a, d_b, k)
 
     def project_psd(x):
@@ -236,11 +246,12 @@ def test_block_psd_step_matches_full_eigh_projection(d_a, d_b, k):
 FULL_SPACE_PEAK_MB = {(2, 16, 2): 32.0, (2, 2, 9): 128.5, (2, 3, 5): 28.9}
 
 
-@pytest.mark.parametrize("d_a,d_b,k", sorted(FULL_SPACE_PEAK_MB))
-def test_k_extendibility_peak_memory_from_a_cold_cache(d_a, d_b, k):
+def cold_cache_peak(d_a, d_b, k):
+    """tracemalloc peak of a two-iteration k_extendibility with every cache cleared."""
     rho = q.random_density_matrix(d_a * d_b, np.random.default_rng(0))
     rho = q.DensityMatrix(rho.mat, (d_a, d_b))
     _schur_weyl_basis.cache_clear()
+    _gl_generators.cache_clear()
     tracemalloc.start()
     try:
         rep = q.k_extendibility(rho, k, max_iterations=2)
@@ -248,7 +259,63 @@ def test_k_extendibility_peak_memory_from_a_cold_cache(d_a, d_b, k):
     finally:
         tracemalloc.stop()
     assert rep.iterations == 2
-    assert peak <= FULL_SPACE_PEAK_MB[d_a, d_b, k] * 2**20
+    return peak
+
+
+@pytest.mark.parametrize("d_a,d_b,k", sorted(FULL_SPACE_PEAK_MB))
+def test_k_extendibility_peak_memory_from_a_cold_cache(d_a, d_b, k):
+    assert cold_cache_peak(d_a, d_b, k) <= FULL_SPACE_PEAK_MB[d_a, d_b, k] * 2**20
+
+
+def test_k_extendibility_affine_step_peak_memory_from_a_cold_cache():
+    # the affine step reads only the gl(d_B) generators, nothing of d_B^k rows
+    assert cold_cache_peak(2, 16, 2) <= 24 * 2**20
+
+
+AFFINE_CELLS = [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 3), (1, 4, 3), (2, 2, 5)]
+
+
+def random_blocks(d_a, d_b, k, rng):
+    _, q_dims, w = _schur_weyl_basis(d_b, k)
+    n, _, q_max = w.shape
+    x = rng.normal(size=(n, d_a * q_max, d_a * q_max)) \
+        + 1j * rng.normal(size=(n, d_a * q_max, d_a * q_max))
+    keep = np.arange(d_a * q_max) % q_max < q_dims[:, None]
+    return x * (keep[:, :, None] & keep[:, None, :])
+
+
+@pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS)
+def test_generator_maps_match_the_basis_contractions(d_a, d_b, k):
+    rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)
+    marginal, correction = _affine_maps(d_a, d_b, k)
+    for _ in range(2):
+        x = random_blocks(d_a, d_b, k, rng)
+        want = u_marginal(x, d_a, d_b, k)
+        assert np.max(np.abs(from_cc(marginal(x), d_a, d_b) - want)) <= 1e-12
+        delta = random_operator(d_a * d_b)
+        want = u_correction(delta, d_a, d_b, k)
+        assert np.max(np.abs(correction(to_cc(delta, d_a, d_b)) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS)
+def test_marginal_of_correction_is_inverted_by_marginal_inverse(d_a, d_b, k):
+    marginal, correction = _affine_maps(d_a, d_b, k)
+    for _ in range(3):
+        delta = to_cc(random_operator(d_a * d_b), d_a, d_b)
+        assert np.max(np.abs(_marginal_inverse(marginal(correction(delta)), k) - delta)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 5), (3, 3), (4, 3), (3, 4)])
+def test_generators_satisfy_the_gl_commutation_relations(d, k):
+    _, q_dims, w = _schur_weyl_basis(d, k)
+    gen = _gl_generators(d, k)
+    e = np.zeros((d, d) + w.shape[:1] + (w.shape[2],) * 2)
+    e[gen.cc // d, gen.cc % d, gen.lam, gen.s, gen.t] = gen.g
+    for l, q_l in enumerate(q_dims):
+        g = e[:, :, l, :q_l, :q_l]
+        for a, b, c, dd in itertools.product(range(d), repeat=4):
+            want = (b == c) * g[a, dd] - (a == dd) * g[c, b]
+            assert np.max(np.abs(g[a, b] @ g[c, dd] - g[c, dd] @ g[a, b] - want)) <= 1e-12
 
 
 def test_k_extendibility_input_validation():

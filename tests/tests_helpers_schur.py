@@ -50,3 +50,49 @@ def symmetrize_b(x, d_a: int, d: int, k: int):
     """Average of P x P^dag over every permutation P of the k factors C^d."""
     t = x.reshape(((d_a,) + (d,) * k) * 2)
     return _permutation_average(t, [(1 + i, k + 2 + i) for i in range(k)]).reshape(x.shape)
+
+
+def to_cc(m, d_a: int, d_b: int):
+    """An A B_1 operator as the stack of d_a x d_a blocks <c|m|C>, index c d_b + C."""
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(-1, d_a, d_a)
+
+
+def from_cc(m, d_a: int, d_b: int):
+    """The inverse of ``to_cc``."""
+    return m.reshape(d_b, d_b, d_a, d_a).transpose(2, 0, 3, 1).reshape(d_a * d_b, d_a * d_b)
+
+
+def _u_contractions(d: int, k: int):
+    f, _, w = _schur_weyl_basis(d, k)
+    n, dim, q_max = w.shape
+    rest = dim // d
+    # u[l, s, j, c, r]: column s of w[l] with factor B_j first (c), the others flat (r)
+    u = np.stack([np.moveaxis(w.reshape((n,) + (d,) * k + (q_max,)), 1 + j, 1)
+                  for j in range(k)], axis=-1).reshape(n, d, rest, q_max, k)
+    u = np.ascontiguousarray(u.transpose(0, 3, 4, 1, 2), dtype=complex)
+    u_rows = u.reshape(n, q_max, k * dim)
+    u_marg = (u * (f / k)[:, None, None, None, None]).transpose(3, 0, 1, 2, 4).reshape(d, -1)
+    return u, u_rows, u_marg
+
+
+def u_marginal(x, d_a: int, d: int, k: int):
+    """sum_lam (f_lam/k) sum_j tr_{B - B_j} of the padded block stack x, on A B_1,
+    by contracting with d^k-row copies of the Schur-Weyl basis."""
+    u, u_rows, u_marg = _u_contractions(d, k)
+    n, q_max, rest = u.shape[0], u.shape[1], u.shape[-1]
+    t = (x.reshape(n, -1, q_max) @ u_rows).reshape(n, d_a, q_max, d_a, k, d, rest)
+    t = t.transpose(0, 2, 4, 6, 1, 3, 5).reshape(-1, d_a * d_a * d)
+    return (u_marg @ t).reshape(d, d_a, d_a, d).transpose(1, 0, 2, 3).reshape(d_a * d, d_a * d)
+
+
+def u_correction(delta, d_a: int, d: int, k: int):
+    """The padded blocks of sym(delta x I/d^{k-1}) for delta on A B_1, by the
+    same contractions as ``u_marginal``."""
+    u, u_rows, _ = _u_contractions(d, k)
+    n, q_max, rest = u.shape[0], u.shape[1], u.shape[-1]
+    m = d_a * q_max
+    g = delta.reshape(d_a, d, d_a, d).transpose(1, 0, 2, 3).reshape(d, -1)
+    g = (u.reshape(-1, d, rest).transpose(0, 2, 1) @ g).reshape(
+        n, q_max, k, rest, d_a, d_a, d).transpose(0, 1, 4, 5, 2, 6, 3)
+    h = g.reshape(n, q_max * d_a * d_a, k * d * rest) @ u_rows.transpose(0, 2, 1) / (k * rest)
+    return h.reshape(n, q_max, d_a, d_a, q_max).transpose(0, 2, 1, 3, 4).reshape(n, m, m)
