@@ -137,7 +137,7 @@ def _affine_maps(d_a: int, d_b: int, k: int):
         return np.add.reduceat(x.reshape(shape)[at] * g_marg, gen.cc_starts, axis=0)
 
     def correction(delta: np.ndarray) -> np.ndarray:
-        z = np.zeros(shape, dtype=complex)
+        z = np.zeros(shape, dtype=delta.dtype)
         z[blocks] = np.add.reduceat(delta[cc] * g_corr, gen.block_starts, axis=0)
         return z.reshape(n, d_a * q_max, d_a * q_max)
 
@@ -145,11 +145,11 @@ def _affine_maps(d_a: int, d_b: int, k: int):
 
 
 def _project_psd_blocks(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Eigenvalue clipping of each block of a padded stack by one batched eigh;
-    eigenvectors may mix padding into a block where eigenvalues meet, so the
-    entries outside ``keep`` are zeroed again."""
-    vals, vecs = np.linalg.eigh((z + z.conj().transpose(0, 2, 1)) / 2)
-    return (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1) * keep
+    """Eigenvalue clipping of each block of a padded stack by one batched eigh, which
+    reads one triangle (so z need not be exactly Hermitian); eigenvectors may mix
+    padding into a block where eigenvalues meet, so ``keep`` zeroes it again."""
+    vals, vecs = np.linalg.eigh(z)
+    return (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1) * keep
 
 
 def k_extendibility(rho: DensityMatrix, k: int,
@@ -162,9 +162,11 @@ def k_extendibility(rho: DensityMatrix, k: int,
     equals rho.  The iterates commute with those permutations and are kept
     as Schur-Weyl blocks X_lam on C^{d_A} x Q_lam; the exact affine step adds
     the blocks of sym(L^{-1}(rho - marginal) x I), L inverted in closed form.
-    Each iteration is one batched eigh over the blocks plus two sparse
+    The loop holds one iterate z, Dykstra's x + p: with y = P_psd(z) and that
+    affine step from y, x + p = (y + step) + (z - y), so z += step.  Each
+    iteration is one batched eigh over the blocks plus two sparse
     contractions with the gl(d_B) generators on each Q_lam (``_affine_maps``),
-    so nothing with d_B^k rows is touched in the loop.
+    so nothing with d_B^k rows is touched; a real rho stays real throughout.
 
     A residual below 1e-7 yields Feasible with the extension attached.  A
     plateau (a relative change below 1e-10 over 100 iterations) above 1e-4
@@ -177,31 +179,26 @@ def k_extendibility(rho: DensityMatrix, k: int,
     d_a, d_b = rho.dims
     _checked_dim(d_a * _checked_dim(d_b, k))
     f, q, w = _schur_weyl_basis(d_b, k)
-    n, _, q_max = w.shape
+    q_max = w.shape[2]
     marginal, correction = _affine_maps(d_a, d_b, k)
     keep = np.arange(d_a * q_max) % q_max < q[:, None]  # block rows are (a, s), padded in s
     keep = keep[:, :, None] & keep[:, None, :]
-    rho_cc = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(-1, d_a, d_a)
-
-    def project_affine(x: np.ndarray) -> np.ndarray:
-        return x + correction(_marginal_inverse(rho_cc - marginal(x), k))
-
-    x = correction(_marginal_inverse(rho_cc, k))  # = project_affine(correction(rho))
-    p_corr = np.zeros_like(x)
+    mat = rho.mat if rho.mat.imag.any() else rho.mat.real
+    rho_cc = mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(-1, d_a, d_a)
+    z = correction(_marginal_inverse(rho_cc, k))  # x = P_affine(correction(rho)), p = 0
     history: list[float] = []
     residual = math.inf
     for it in range(1, max_iterations + 1):
-        y = _project_psd_blocks(x + p_corr, keep)
-        p_corr = x + p_corr - y
-        x = project_affine(y)
-        residual = math.sqrt(f @ np.linalg.norm((y - x).reshape(n, -1), axis=1) ** 2)
+        y = _project_psd_blocks(z, keep)
+        step = correction(_marginal_inverse(rho_cc - marginal(y), k))  # x = y + step
+        z += step
+        residual = math.sqrt(np.vdot(step, step * f[:, None, None]).real)  # full-space |y - x|
         history.append(residual)
         if residual <= 1e-7:
-            # x satisfies the affine constraints by construction
-            lo = float(np.min(np.linalg.eigvalsh((x + x.conj().transpose(0, 2, 1)) / 2)))
-            if lo >= -1e-6:
-                return FeasibilityReport(
-                    FeasStatus.FEASIBLE, residual, it, _blocks_to_operator(x, d_a, d_b, k))
+            # x = y + step is affine by construction, and as |step_lam|_2 <= residual/sqrt(f_lam)
+            # Weyl gives lam_min(x_lam) >= -residual - O(eps|y|): no eigenvalue check is needed
+            x = _blocks_to_operator(y + step, d_a, d_b, k)
+            return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x.astype(complex))
         if it > 100:
             old = history[-101]
             if old > 0 and abs(old - residual) / old < 1e-10:

@@ -23,14 +23,21 @@ FIXTURE = ROOT / "tests" / "fixtures" / "cli_golden.json"
 SEEDS = (1, 2)
 
 
-def transcript(workdir: pathlib.Path) -> list[dict]:
-    """Write the inputs under ``workdir`` and run every request from there,
-    so state paths in argv and messages are relative to it."""
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py`` module, imported without
+    leaving ``perfbench/`` on ``sys.path``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return workloads
+
+
+def transcript(workdir: pathlib.Path) -> list[dict]:
+    """Write the inputs under ``workdir`` and run every request from there,
+    so state paths in argv and messages are relative to it."""
+    workloads = perfbench_workloads()
     from qilab import cli
 
     runs = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qilab as q
+from cli_golden import perfbench_workloads
 from qilab.schur import _blocks_to_operator, _gl_generators, _schur_weyl_basis
 from qilab.separability import (
     FeasibilityReport,
@@ -211,8 +212,11 @@ def extension_inputs(d_a, d_b):
             0.8 * sep_state.mat + 0.2 * np.eye(d_a * d_b) / (d_a * d_b)]
 
 
-@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 2),
-                                       (2, 3, 3), (3, 2, 4), (2, 4, 2), (3, 3, 2)])
+FULL_SPACE_CELLS = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 2),
+                    (2, 3, 3), (3, 2, 4), (2, 4, 2), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("d_a,d_b,k", FULL_SPACE_CELLS)
 def test_k_extendibility_matches_full_space_loop(d_a, d_b, k):
     for mat in extension_inputs(d_a, d_b):
         rho = q.DensityMatrix(mat, (d_a, d_b))
@@ -223,6 +227,51 @@ def test_k_extendibility_matches_full_space_loop(d_a, d_b, k):
             assert got.extension is None
         else:
             assert np.max(np.abs(got.extension - want.extension)) <= 1e-10
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 2)])
+def test_k_extendibility_real_and_complex_arithmetic_agree(d_a, d_b, k, monkeypatch):
+    # a local phase unitary makes a real state complex and leaves k-extendibility alone
+    u = tensor(np.diag(1j ** np.arange(d_a)), np.eye(d_b))
+    u_ext = tensor(np.diag(1j ** np.arange(d_a)), np.eye(d_b ** k))
+    dtypes = []
+    psd_step = q.separability._project_psd_blocks
+
+    def recording_psd_step(z, keep):
+        dtypes.append(z.dtype)
+        return psd_step(z, keep)
+
+    monkeypatch.setattr(q.separability, "_project_psd_blocks", recording_psd_step)
+    for mat in extension_inputs(d_a, d_b)[:2]:  # Phi+ and noisy Phi+, both real
+        assert not mat.imag.any()
+        real = q.k_extendibility(q.DensityMatrix(mat, (d_a, d_b)), k)
+        assert set(dtypes) == {np.dtype(float)}
+        dtypes.clear()
+        cplx = q.k_extendibility(q.DensityMatrix(u @ mat @ u.conj().T, (d_a, d_b)), k)
+        assert set(dtypes) == {np.dtype(complex)}
+        dtypes.clear()
+        assert (cplx.status, cplx.iterations) == (real.status, real.iterations)
+        assert abs(cplx.residual - real.residual) <= 1e-12 + 1e-9 * real.residual
+        if real.extension is None:
+            assert cplx.extension is None
+        else:
+            assert real.extension.dtype == cplx.extension.dtype == np.complex128
+            undone = u_ext.conj().T @ cplx.extension @ u_ext
+            assert np.max(np.abs(undone - real.extension)) <= 1e-10
+
+
+def test_feasible_extension_is_psd_up_to_its_residual():
+    # the Weyl bound that lets k_extendibility skip an eigenvalue check of its extension
+    inputs = [(mat, (d_a, d_b), k) for d_a, d_b, k in FULL_SPACE_CELLS
+              for mat in extension_inputs(d_a, d_b)]
+    feasible = 0
+    grid = [(c.rho, (c.d_a, c.d_b), c.k) for c in perfbench_workloads().extend_cases(1)]
+    for mat, dims, k in inputs + grid:
+        rep = q.k_extendibility(q.DensityMatrix(mat, dims), k)
+        if rep.status is FeasStatus.FEASIBLE:
+            feasible += 1
+            assert np.min(np.linalg.eigvalsh(rep.extension)) >= -rep.residual - 1e-12
+    assert feasible >= 120
 
 
 @pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 7), (1, 2, 9), (2, 3, 4), (1, 4, 4), (2, 5, 2)])
