@@ -19,6 +19,7 @@ from .tensor import (
     _checked_dim,
     _count,
     _finite,
+    _hermitian,
     hermitian_eig,
     partial_transpose,
 )
@@ -85,6 +86,11 @@ def eigen_witness(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> 
 # k-extendibility via Dykstra-style alternating projections
 # ---------------------------------------------------------------------------
 
+MEMORY = 4  # Anderson differences kept while the run is not certified
+WITNESS_EVERY = 10  # the dual bound is computed at iteration 1, every 10th and the last
+WITNESS_TOL = 1e-12  # absolute tolerance of both conditions of a passing witness
+
+
 class FeasStatus(enum.Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE_EVIDENCE = "InfeasibleEvidence"
@@ -97,25 +103,32 @@ class FeasibilityReport:
     residual: float
     iterations: int
     extension: np.ndarray | None
+    witness: np.ndarray | None = None  # on A B_1, see check_extendibility_witness
 
 
-def _marginal_inverse(m: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of L(D) = tr_{B2..Bk} sym(D x I/d_B^{k-1}) on A B_1 operators,
-    each kept as the stack m[c d_B + C] = <c|D|C> of d_A x d_A blocks.
+def _to_cc(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """An A B_1 operator as the stack m[c d_B + C] = <c|m|C> of d_A x d_A blocks."""
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(-1, d_a, d_a)
 
-    L(D) = D/k + ((k-1)/k) tr_B(D) x I/d_B, and L preserves tr_B, hence
-    L^{-1}(M) = k M - (k-1) tr_B(M) x I/d_B.
+
+def _marginal_power(m: np.ndarray, k: int, power: float) -> np.ndarray:
+    """L^power for L(D) = tr_{B2..Bk} sym(D x I/d_B^{k-1}) on A B_1 operators kept
+    as in ``_to_cc``.
+
+    L(D) = D/k + (1 - 1/k) P(D) with P(D) = tr_B(D) x I/d_B, the diagonal-block
+    sum, an orthogonal projector; hence L^p = k^-p I + (1 - k^-p) P.
     """
     d_b = math.isqrt(len(m))
-    out = k * m
-    out[::d_b + 1] -= (k - 1) / d_b * m[::d_b + 1].sum(axis=0)
+    scale = k ** -power
+    out = scale * m
+    out[::d_b + 1] += (1 - scale) / d_b * m[::d_b + 1].sum(axis=0)
     return out
 
 
 def _affine_maps(d_a: int, d_b: int, k: int):
     """The A B_1 marginal of the padded block stacks of ``_schur_weyl_basis(d_b, k)``
     and its adjoint ``correction``, the blocks of sym(D x I/d_B^{k-1}).  A B_1
-    operators are kept as in ``_marginal_inverse``.  Both are sums over the
+    operators are kept as in ``_to_cc``.  Both are sums over the
     entries G_lam[c, C, s, t] of the gl(d_B) generators (``_gl_generators``):
 
         marginal(X)[c C] = sum_lam (f_lam/k) sum_{s,t} G_lam[c, C, s, t] X_lam[(., s), (., t)]
@@ -152,6 +165,21 @@ def _project_psd_blocks(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1) * keep
 
 
+def _extension_dims(rho: DensityMatrix, k: int) -> tuple[int, int, int]:
+    """(d_A, d_B, k) of a k-extension of ``rho``, checked."""
+    if len(rho.dims) != 2:
+        raise ValueError("state must be explicitly bipartite")
+    k = _count(k, 2, "k")
+    d_a, d_b = rho.dims
+    _checked_dim(d_a * _checked_dim(d_b, k))
+    return d_a, d_b, k
+
+
+def _real_view(a: np.ndarray) -> np.ndarray:
+    """The entries of ``a`` as one real vector, a complex entry as two."""
+    return a.reshape(-1).view(np.float64)
+
+
 def k_extendibility(rho: DensityMatrix, k: int,
                     max_iterations: int = 5000) -> FeasibilityReport:
     """Search for a permutation-invariant k-extension of a bipartite state.
@@ -162,51 +190,116 @@ def k_extendibility(rho: DensityMatrix, k: int,
     equals rho.  The iterates commute with those permutations and are kept
     as Schur-Weyl blocks X_lam on C^{d_A} x Q_lam; the exact affine step adds
     the blocks of sym(L^{-1}(rho - marginal) x I), L inverted in closed form.
-    The loop holds one iterate z, Dykstra's x + p: with y = P_psd(z) and that
-    affine step from y, x + p = (y + step) + (z - y), so z += step.  Each
-    iteration is one batched eigh over the blocks plus two sparse
+    Dykstra's x + p is z = correction(E) for an A B_1 operator E, which the
+    loop keeps: with y = P_psd(z), D = L^{-1}(rho - marginal(y)) and
+    step = correction(D), x = y + step and x + p = z + step, so E += D.
+    Each iteration is one batched eigh over the blocks plus two sparse
     contractions with the gl(d_B) generators on each Q_lam (``_affine_maps``),
     so nothing with d_B^k rows is touched; a real rho stays real throughout.
+    The residual |y - x| = |step| is sqrt(d_B^{1-k}) |L^{1/2} D|.
 
-    A residual below 1e-7 yields Feasible with the extension attached.  A
-    plateau (a relative change below 1e-10 over 100 iterations) above 1e-4
-    is reported as InfeasibleEvidence (the gap lower-bounds the distance
-    between the two sets); everything else is Undetermined.
+    Dual bound: step is orthogonal to the affine set's linear part, so with
+    mu = max(0, lam_max(step)) and u = step - mu I <= 0 every affine a and PSD s
+    have |a - s| >= <u, a - s>/|u| >= (<step, x> - mu)/|u| = lower.  It is
+    computed at iteration 1, every WITNESS_EVERY-th and the last; lower > 0
+    certifies that rho has no k-extension, and the report then carries the
+    witness W = mu I - d_B^{1-k} D (``check_extendibility_witness``).
+
+    Until a run is certified, E is extrapolated by Anderson acceleration over
+    the last MEMORY differences of (E + D, L^{1/2} D), safeguarded: an
+    extrapolated E whose residual does not fall below the last accepted one is
+    dropped for the plain E + D and the memory cleared; that pass counts as an
+    iteration, so iterations and eigh calls are equal.
+
+    Stops: a residual below 1e-7 yields Feasible with the extension attached;
+    a certified lower >= (1 - 1e-10) residual, where the bracket has closed,
+    yields InfeasibleEvidence.  A plateau (a relative change below 1e-10 over
+    100 iterations) or the end of the budget yields InfeasibleEvidence if the
+    run is certified and Undetermined otherwise.
     """
-    if len(rho.dims) != 2:
-        raise ValueError("state must be explicitly bipartite")
-    k, max_iterations = _count(k, 2, "k"), _count(max_iterations, 1, "max_iterations")
-    d_a, d_b = rho.dims
-    _checked_dim(d_a * _checked_dim(d_b, k))
-    f, q, w = _schur_weyl_basis(d_b, k)
+    d_a, d_b, k = _extension_dims(rho, k)
+    max_iterations = _count(max_iterations, 1, "max_iterations")
+    _, q, w = _schur_weyl_basis(d_b, k)
     q_max = w.shape[2]
     marginal, correction = _affine_maps(d_a, d_b, k)
     keep = np.arange(d_a * q_max) % q_max < q[:, None]  # block rows are (a, s), padded in s
     keep = keep[:, :, None] & keep[:, None, :]
-    mat = rho.mat if rho.mat.imag.any() else rho.mat.real
-    rho_cc = mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(-1, d_a, d_a)
-    z = correction(_marginal_inverse(rho_cc, k))  # x = P_affine(correction(rho)), p = 0
+    rho_cc = _to_cc(rho.mat if rho.mat.imag.any() else rho.mat.real, d_a, d_b)
+    scale = d_b ** (1.0 - k)
+    e = _marginal_power(rho_cc, k, -1)  # z = P_affine(correction(rho)), p = 0
+    ts: list[np.ndarray] = []  # Anderson memory: E + D and L^{1/2} D of accepted iterates
+    gs: list[np.ndarray] = []
+    plain = None  # E + D of the last accepted iterate while e is extrapolated
+    accepted = math.inf
+    certificate = None  # (mu, D) of the last check whose bound was positive
     history: list[float] = []
-    residual = math.inf
-    for it in range(1, max_iterations + 1):
-        y = _project_psd_blocks(z, keep)
-        step = correction(_marginal_inverse(rho_cc - marginal(y), k))  # x = y + step
-        z += step
-        residual = math.sqrt(np.vdot(step, step * f[:, None, None]).real)  # full-space |y - x|
+    for it in itertools.count(1):
+        y = _project_psd_blocks(correction(e), keep)
+        d = _marginal_power(rho_cc - marginal(y), k, -1)
+        g = _marginal_power(d, k, 0.5)
+        residual = math.sqrt(scale * np.vdot(g, g).real)  # full-space |y - x|
+        if plain is not None and residual > (1 - 1e-12) * accepted:
+            # safeguard: back to the plain step, memory cleared; the pass still counts
+            e, plain, residual = plain, None, accepted
+            ts.clear()
+            gs.clear()
+            if it == max_iterations:
+                break
+            continue
+        accepted = residual
         history.append(residual)
         if residual <= 1e-7:
             # x = y + step is affine by construction, and as |step_lam|_2 <= residual/sqrt(f_lam)
             # Weyl gives lam_min(x_lam) >= -residual - O(eps|y|): no eigenvalue check is needed
-            x = _blocks_to_operator(y + step, d_a, d_b, k)
+            x = _blocks_to_operator(y + correction(d), d_a, d_b, k)
             return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x.astype(complex))
-        if it > 100:
-            old = history[-101]
-            if old > 0 and abs(old - residual) / old < 1e-10:
-                if residual > 1e-4:
-                    return FeasibilityReport(
-                        FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None)
-                break  # flat but small: numerically stuck, report Undetermined
-    return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
+        if it == 1 or it % WITNESS_EVERY == 0 or it == max_iterations:
+            mu = max(0.0, float(np.linalg.eigvalsh(correction(d)).max()))
+            gap = scale * np.vdot(d, rho_cc).real - mu  # <step, x> - mu = -tr(W rho)
+            if gap > WITNESS_TOL:
+                certificate = mu, d
+                trace = np.trace(d[::d_b + 1], axis1=1, axis2=2).sum().real  # tr step
+                norm_u = math.sqrt(max(0.0, residual**2 - 2 * mu * trace
+                                       + mu**2 * d_a * d_b**k))
+                if gap >= (1 - 1e-10) * residual * norm_u:
+                    break
+        plateau = len(history) > 100 and 0 < history[-101] and \
+            abs(history[-101] - residual) / history[-101] < 1e-10
+        if plateau or it == max_iterations:
+            break
+        t = e + d  # the plain step
+        e, plain = t, None
+        if certificate is None:
+            ts.append(t)
+            gs.append(g)
+            del ts[:-MEMORY - 1], gs[:-MEMORY - 1]
+            if len(ts) > 1:
+                dg = np.diff([_real_view(x) for x in gs], axis=0)
+                # rcond drops directions at round-off level, where differences are collinear
+                gamma = np.linalg.lstsq(dg.T, _real_view(g), rcond=1e-10)[0]
+                dt = np.diff(ts, axis=0)
+                e, plain = t - (gamma @ dt.reshape(len(dt), -1)).reshape(t.shape), t
+    if certificate is None:
+        return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
+    mu, d = certificate
+    d = d.reshape(d_b, d_b, d_a, d_a).transpose(2, 0, 3, 1).reshape(d_a * d_b, d_a * d_b)  # undoes _to_cc
+    witness = mu * np.eye(d_a * d_b) - scale * d
+    return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None,
+                             witness.astype(complex))
+
+
+def check_extendibility_witness(w: np.ndarray, rho: DensityMatrix, k: int) -> bool:
+    """Whether the A B_1 operator ``w`` certifies that ``rho`` has no k-extension,
+    without the solver: sym(w x I_{B2..Bk}) >= 0 and tr(w rho) < 0, each to
+    WITNESS_TOL.  Every symmetric k-extension sigma of rho would then give
+    tr(w rho) = tr(sym(w x I) sigma) >= 0.  The lift is d_B^{k-1} correction(w),
+    checked block by block."""
+    d_a, d_b, k = _extension_dims(rho, k)
+    w = _hermitian(_operator_on(w, rho), "witness")
+    _, correction = _affine_maps(d_a, d_b, k)
+    lift = d_b ** (k - 1) * correction(_to_cc(w, d_a, d_b))
+    return bool(np.linalg.eigvalsh(lift).min() >= -WITNESS_TOL
+                and witness_value(w, rho) < -WITNESS_TOL)
 
 
 def slater_state(d: int) -> PureState:

@@ -133,6 +133,8 @@ REFUSALS = {
     "h_n_ext(NaN)": (lambda: q.h_n_ext(NAN4, (2, 2), 2), "NaN or infinite"),
     "witness_value(NaN)": (lambda: q.witness_value(NAN4, q.noisy_epr(0.5)), "NaN or infinite"),
     "witness_value(inf)": (lambda: q.witness_value(INF4, q.noisy_epr(0.5)), "NaN or infinite"),
+    "check_extendibility_witness(NaN)": (
+        lambda: q.check_extendibility_witness(NAN4, q.noisy_epr(0.5), 2), "NaN or infinite"),
     "bcy_inequality_check(NaN)": (lambda: q.bcy_inequality_check(q.noisy_epr(0.5), NAN4, 2),
                                   "NaN or infinite"),
     "bcy_inequality_check(inf)": (lambda: q.bcy_inequality_check(q.noisy_epr(0.5), INF4, 2),
@@ -145,6 +147,12 @@ REFUSALS = {
     "witness_value(2 x 2 on two qubits)": (
         lambda: q.witness_value(np.eye(2), q.noisy_epr(0.5)),
         r"^operator of shape \(2, 2\) does not act on a state of dimension 4$"),
+    "check_extendibility_witness(2 x 2 on two qubits)": (
+        lambda: q.check_extendibility_witness(np.eye(2), q.noisy_epr(0.5), 2),
+        r"^operator of shape \(2, 2\) does not act on a state of dimension 4$"),
+    "check_extendibility_witness(not bipartite)": (
+        lambda: q.check_extendibility_witness(np.eye(4), q.maximally_mixed(4), 2),
+        "^state must be explicitly bipartite$"),
     "bcy_inequality_check(3 x 3 on two qubits)": (
         lambda: q.bcy_inequality_check(q.noisy_epr(0.5), np.eye(3), 2),
         r"^operator of shape \(3, 3\) does not act on a state of dimension 4$"),
@@ -199,6 +207,8 @@ HERMITIAN_ARGUMENTS = {
     "Povm": lambda m: q.Povm((m, np.eye(2) - m)),
     "post_measurement": lambda m: q.post_measurement(q.maximally_mixed(2), m),
     "bell_operator": lambda m: q.bell_operator(m, np.eye(2), np.eye(2), np.eye(2)),
+    "check_extendibility_witness": lambda m: q.check_extendibility_witness(
+        m, q.DensityMatrix(np.eye(2) / 2, (1, 2)), 2),
 }
 
 
@@ -238,6 +248,8 @@ COUNTS = {
     "sample_spin_outcomes(size)": (lambda x: q.sample_spin_outcomes(0.2, 4, x, seed=1), 0, 5),
     "keyl_werner_estimate(n)": (lambda x: q.keyl_werner_estimate([0.5, 1.5], x, 0.2), 1, 4),
     "k_extendibility(k)": (lambda x: q.k_extendibility(q.noisy_epr(0.5), x), 2, 2),
+    "check_extendibility_witness(k)": (
+        lambda x: q.check_extendibility_witness(np.eye(4), q.noisy_epr(0.5), x), 2, 2),
     "k_extendibility(max_iterations)": (
         lambda x: q.k_extendibility(q.noisy_epr(0.5), 2, max_iterations=x), 1, 3),
     "data_hiding_bias(d)": (lambda x: q.data_hiding_bias(x), 2, 3),
@@ -298,12 +310,14 @@ def test_spin_multiplicity_is_zero_off_the_allowed_spins():
 
 
 def test_k_extendibility_stops_on_a_flat_small_plateau():
-    # just above the k = 2 threshold 2/3 the residual flattens out near 4.5e-5,
-    # below the 1e-4 gap that would count as evidence of infeasibility
-    rep = q.k_extendibility(q.noisy_epr(2 / 3 + 1e-4), 2)
-    assert rep.status is q.FeasStatus.UNDETERMINED
+    # just above the k = 2 threshold 2/3 the residual flattens out near 4.5e-5 before the
+    # dual bound meets it; the bound is positive, so the plateau ends with a witness
+    rho = q.noisy_epr(2 / 3 + 1e-4)
+    rep = q.k_extendibility(rho, 2)
+    assert rep.status is q.FeasStatus.INFEASIBLE_EVIDENCE
     assert rep.iterations == 146
     assert rep.residual == pytest.approx(4.52e-5, rel=1e-3)
+    assert q.check_extendibility_witness(rep.witness, rho, 2)
 
 
 def test_classify_three_qubit_declines_inside_both_bands():

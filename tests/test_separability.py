@@ -11,10 +11,13 @@ import qilab as q
 from cli_golden import perfbench_workloads
 from qilab.schur import _blocks_to_operator, _gl_generators, _schur_weyl_basis
 from qilab.separability import (
+    MEMORY,
+    WITNESS_EVERY,
+    WITNESS_TOL,
     FeasibilityReport,
     FeasStatus,
     _affine_maps,
-    _marginal_inverse,
+    _marginal_power,
     _max_clique,
     _project_psd_blocks,
 )
@@ -131,8 +134,12 @@ def test_marginal_inverse_matches_pinv_of_probed_map(d_a, d_b, k):
     for _ in range(3):
         m = random_operator(d_ab)
         expected = (l_inv @ m.reshape(-1)).reshape(d_ab, d_ab)
-        got = from_cc(_marginal_inverse(to_cc(m, d_a, d_b), k), d_a, d_b)
+        got = from_cc(_marginal_power(to_cc(m, d_a, d_b), k, -1), d_a, d_b)
         assert np.max(np.abs(got - expected)) <= 1e-12
+        # L^{1/2} applied twice is L
+        root = _marginal_power(_marginal_power(to_cc(m, d_a, d_b), k, 0.5), k, 0.5)
+        expected = (images @ m.reshape(-1)).reshape(d_ab, d_ab)
+        assert np.max(np.abs(from_cc(root, d_a, d_b) - expected)) <= 1e-12
 
 
 def test_k_extendibility_feasible_returns_valid_extension():
@@ -160,45 +167,168 @@ def test_k_extendibility_large_k_stays_small():
     finally:
         tracemalloc.stop()
     assert rep.iterations == 2
-    assert rep.status is FeasStatus.UNDETERMINED
+    assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE  # p = 0.5 > 3/7, the k = 7 threshold
     assert peak < 64 * 2**20
+    assert q.check_extendibility_witness(rep.witness, q.noisy_epr(0.5), 7)
 
 
-def k_extendibility_full_space(rho, k, eps_feasible=1e-7, eps_gap=1e-4, max_iterations=5000,
+def test_k_extendibility_without_a_positive_bound_is_undetermined():
+    # p = 0.3 < 3/7: 7-extendible, and two iterations neither converge nor certify
+    rep = q.k_extendibility(q.noisy_epr(0.3), 7, max_iterations=2)
+    assert (rep.status, rep.iterations, rep.witness) == (FeasStatus.UNDETERMINED, 2, None)
+
+
+def lift_min_eigenvalue(w, d_a, d_b, k):
+    """lam_min of sym(w x I_{B2..Bk}), from its Schur-Weyl blocks."""
+    _, correction = _affine_maps(d_a, d_b, k)
+    return float(np.linalg.eigvalsh(d_b ** (k - 1) * correction(to_cc(w, d_a, d_b))).min())
+
+
+def test_grid_infeasible_evidence_carries_a_passing_witness():
+    infeasible = 0
+    for c in perfbench_workloads().extend_cases(1):
+        rho = q.DensityMatrix(c.rho, (c.d_a, c.d_b))
+        rep = q.k_extendibility(rho, c.k)
+        if rep.status is FeasStatus.INFEASIBLE_EVIDENCE:
+            infeasible += 1
+            assert q.check_extendibility_witness(rep.witness, rho, c.k)
+            assert not q.check_extendibility_witness(-rep.witness, rho, c.k)
+        else:
+            assert rep.witness is None
+    assert infeasible == 10
+
+
+def test_unshifted_witness_fails():
+    # W = mu I - d_B^{1-k} D from the first iteration, rebuilt here from the affine maps
+    rho = q.phi_plus().density()
+    rep = q.k_extendibility(rho, 2, max_iterations=1)
+    assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE
+    marginal, correction = _affine_maps(2, 2, 2)
+    _, q_dims, w = _schur_weyl_basis(2, 2)
+    keep = np.arange(2 * w.shape[2]) % w.shape[2] < q_dims[:, None]
+    rho_cc = to_cc(rho.mat, 2, 2)
+    y = _project_psd_blocks(correction(_marginal_power(rho_cc, 2, -1)),
+                            keep[:, :, None] & keep[:, None, :])
+    d = from_cc(_marginal_power(rho_cc - marginal(y), 2, -1), 2, 2) / 2
+    mu = -lift_min_eigenvalue(-d, 2, 2, 2)  # lam_max of step = sym(d x I)
+    assert mu == pytest.approx(0.0208, abs=1e-4)
+    assert np.max(np.abs(rep.witness - (mu * np.eye(4) - d))) <= 1e-12
+    assert lift_min_eigenvalue(rep.witness, 2, 2, 2) >= -1e-15
+    assert q.check_extendibility_witness(rep.witness, rho, 2)
+    assert not q.check_extendibility_witness(rep.witness - mu * np.eye(4), rho, 2)
+
+
+def test_witness_is_nonnegative_on_separable_and_extendible_states():
+    w = q.k_extendibility(q.phi_plus().density(), 2).witness
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        assert q.witness_value(w, q.random_separable_state(2, 2, rng)) >= -1e-12
+    for p in np.linspace(0, 2 / 3, 9):  # noisy EPR is 2-extendible up to p = 2/3
+        assert q.witness_value(w, q.noisy_epr(p)) >= -1e-12
+
+
+def isotropic_state(d, fidelity):
+    phi = q.phi_plus(d).density().mat
+    return q.DensityMatrix(fidelity * phi + (1 - fidelity) * (np.eye(d * d) - phi) / (d * d - 1),
+                           (d, d))
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (2, 5)])
+def test_isotropic_state_is_k_extendible_up_to_its_threshold(d, k):
+    threshold = (k + d - 1) / (k * d)  # of the fidelity with Phi+_d
+    below = q.k_extendibility(isotropic_state(d, threshold - 0.01), k)
+    assert below.status is FeasStatus.FEASIBLE
+    rho = isotropic_state(d, threshold + 0.01)
+    above = q.k_extendibility(rho, k)
+    assert above.status is FeasStatus.INFEASIBLE_EVIDENCE
+    assert q.check_extendibility_witness(above.witness, rho, k)
+
+
+def tiles_state():
+    """The bound entangled state (I - sum of the five tiles UPB projectors)/4 on C^3 x C^3."""
+    e = np.eye(3)
+    minus = [(e[0] - e[1]) / math.sqrt(2), (e[1] - e[2]) / math.sqrt(2)]
+    uniform = e.sum(axis=0) / math.sqrt(3)
+    upb = [np.kron(e[0], minus[0]), np.kron(minus[0], e[2]), np.kron(e[2], minus[1]),
+           np.kron(minus[1], e[0]), np.kron(uniform, uniform)]
+    return q.DensityMatrix((np.eye(9) - sum(np.outer(v, v) for v in upb)) / 4, (3, 3))
+
+
+def test_tiles_state_is_ppt_and_certified_not_three_extendible():
+    rho = tiles_state()
+    assert q.ppt_check(rho).is_ppt
+    rep = q.k_extendibility(rho, 3, max_iterations=200)
+    assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE
+    assert q.check_extendibility_witness(rep.witness, rho, 3)
+
+
+def k_extendibility_full_space(rho, k, eps_feasible=1e-7, max_iterations=5000,
                                plateau_window=100, plateau_rel=1e-10):
-    """The Dykstra loop on the full d_A d_B^k operator, as the block solver's oracle."""
+    """The solver's loop on the full d_A d_B^k operator, as the block solver's oracle:
+    Dykstra's x + p as one iterate z, the dual bound on step = x - y, and the safeguarded
+    Anderson step on z with the full-space step as its residual."""
     d_a, d_b = rho.dims
+    dim = d_a * d_b**k
     dims_ext = (d_a,) + (d_b,) * k
     eye_rest = np.eye(d_b ** (k - 1)) / d_b ** (k - 1)
 
     def project_affine(x):
         y = symmetrize_b(x, d_a, d_b, k)
         marg = to_cc(rho.mat - partial_trace(y, dims_ext, [0, 1]), d_a, d_b)
-        delta = from_cc(_marginal_inverse(marg, k), d_a, d_b)
+        delta = from_cc(_marginal_power(marg, k, -1), d_a, d_b)
         return y + symmetrize_b(tensor(delta, eye_rest), d_a, d_b, k)
 
     def project_psd(x):
         vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
         return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
-    x = project_affine(tensor(rho.mat, eye_rest))
-    p_corr = np.zeros_like(x)
-    history = []
-    for it in range(1, max_iterations + 1):
-        y = project_psd(x + p_corr)
-        p_corr = x + p_corr - y
+    def reals(x):
+        return np.ascontiguousarray(x).reshape(-1).view(float)
+
+    z = project_affine(tensor(rho.mat, eye_rest))
+    zs, steps = [], []  # Anderson memory: T(z) = z + step and step of accepted iterates
+    plain, accepted, certified, history = None, math.inf, False, []
+    for it in itertools.count(1):
+        y = project_psd(z)
         x = project_affine(y)
-        residual = float(np.linalg.norm(y - x))
+        step = x - y
+        residual = float(np.linalg.norm(step))
+        if plain is not None and residual > (1 - 1e-12) * accepted:
+            z, plain, residual = plain, None, accepted
+            zs.clear()
+            steps.clear()
+            if it == max_iterations:
+                break
+            continue
+        accepted = residual
         history.append(residual)
         if residual <= eps_feasible and np.min(np.linalg.eigvalsh((x + x.conj().T) / 2)) >= -1e-6:
             return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x)
-        if it > plateau_window:
+        if it == 1 or it % WITNESS_EVERY == 0 or it == max_iterations:
+            mu = max(0.0, float(np.max(np.linalg.eigvalsh((step + step.conj().T) / 2))))
+            gap = np.vdot(step, x).real - mu
+            if gap > WITNESS_TOL:
+                certified = True
+                if gap >= (1 - 1e-10) * residual * np.linalg.norm(step - mu * np.eye(dim)):
+                    return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None)
+        if len(history) > plateau_window:
             old = history[-plateau_window - 1]
             if old > 0 and abs(old - residual) / old < plateau_rel:
-                if residual > eps_gap:
-                    return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None)
                 break
-    return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
+        if it == max_iterations:
+            break
+        t = z + step
+        z, plain = t, None
+        if not certified:
+            zs.append(t)
+            steps.append(step)
+            del zs[:-MEMORY - 1], steps[:-MEMORY - 1]
+            if len(zs) > 1:
+                dg = np.diff([reals(s) for s in steps], axis=0)
+                gamma = np.linalg.lstsq(dg.T, reals(step), rcond=1e-10)[0]
+                z, plain = t - np.tensordot(gamma, np.diff(zs, axis=0), axes=1), t
+    status = FeasStatus.INFEASIBLE_EVIDENCE if certified else FeasStatus.UNDETERMINED
+    return FeasibilityReport(status, residual, it, None)
 
 
 def extension_inputs(d_a, d_b):
@@ -351,7 +481,7 @@ def test_marginal_of_correction_is_inverted_by_marginal_inverse(d_a, d_b, k):
     marginal, correction = _affine_maps(d_a, d_b, k)
     for _ in range(3):
         delta = to_cc(random_operator(d_a * d_b), d_a, d_b)
-        assert np.max(np.abs(_marginal_inverse(marginal(correction(delta)), k) - delta)) <= 1e-12
+        assert np.max(np.abs(_marginal_power(marginal(correction(delta)), k, -1) - delta)) <= 1e-12
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 5), (3, 3), (4, 3), (3, 4)])
