@@ -86,7 +86,7 @@ def eigen_witness(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> 
 # k-extendibility via Dykstra-style alternating projections
 # ---------------------------------------------------------------------------
 
-MEMORY = 4  # Anderson differences kept while the run is not certified
+MEMORY = 4  # Anderson differences kept
 WITNESS_EVERY = 10  # the dual bound is computed at iteration 1, every 10th and the last
 WITNESS_TOL = 1e-12  # absolute tolerance of both conditions of a passing witness
 
@@ -202,20 +202,22 @@ def k_extendibility(rho: DensityMatrix, k: int,
     mu = max(0, lam_max(step)) and u = step - mu I <= 0 every affine a and PSD s
     have |a - s| >= <u, a - s>/|u| >= (<step, x> - mu)/|u| = lower.  It is
     computed at iteration 1, every WITNESS_EVERY-th and the last; lower > 0
-    certifies that rho has no k-extension, and the report then carries the
-    witness W = mu I - d_B^{1-k} D (``check_extendibility_witness``).
+    certifies that rho has no k-extension, and that settles the verdict.
 
-    Until a run is certified, E is extrapolated by Anderson acceleration over
-    the last MEMORY differences of (E + D, L^{1/2} D), safeguarded: an
-    extrapolated E whose residual does not fall below the last accepted one is
-    dropped for the plain E + D and the memory cleared; that pass counts as an
-    iteration, so iterations and eigh calls are equal.
+    Until then E is extrapolated by Anderson acceleration over the last MEMORY
+    differences of (E + D, L^{1/2} D), safeguarded: an extrapolated E whose
+    residual does not fall below the last accepted one is dropped for the
+    plain E + D and the memory cleared; that pass counts as an iteration, so
+    iterations and eigh calls are equal.
 
-    Stops: a residual below 1e-7 yields Feasible with the extension attached;
-    a certified lower >= (1 - 1e-10) residual, where the bracket has closed,
-    yields InfeasibleEvidence.  A plateau (a relative change below 1e-10 over
-    100 iterations) or the end of the budget yields InfeasibleEvidence if the
-    run is certified and Undetermined otherwise.
+    Three ends, and what ``residual`` then means:
+    - a residual |y - x| <= 1e-7 (tested first) yields Feasible with the
+      extension x attached;
+    - a positive bound yields InfeasibleEvidence at once, with the witness
+      W = mu I - d_B^{1-k} D (``check_extendibility_witness``) and residual
+      the certified lower bound on dist(PSD, affine set), which W alone gives
+      as -tr(W rho) / |sym(W x I_{B2..Bk})|_F;
+    - the end of the budget yields Undetermined with the residual |y - x|.
     """
     d_a, d_b, k = _extension_dims(rho, k)
     max_iterations = _count(max_iterations, 1, "max_iterations")
@@ -231,8 +233,6 @@ def k_extendibility(rho: DensityMatrix, k: int,
     gs: list[np.ndarray] = []
     plain = None  # E + D of the last accepted iterate while e is extrapolated
     accepted = math.inf
-    certificate = None  # (mu, D) of the last check whose bound was positive
-    history: list[float] = []
     for it in itertools.count(1):
         y = _project_psd_blocks(correction(e), keep)
         d = _marginal_power(rho_cc - marginal(y), k, -1)
@@ -247,7 +247,6 @@ def k_extendibility(rho: DensityMatrix, k: int,
                 break
             continue
         accepted = residual
-        history.append(residual)
         if residual <= 1e-7:
             # x = y + step is affine by construction, and as |step_lam|_2 <= residual/sqrt(f_lam)
             # Weyl gives lam_min(x_lam) >= -residual - O(eps|y|): no eigenvalue check is needed
@@ -255,37 +254,29 @@ def k_extendibility(rho: DensityMatrix, k: int,
             return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x.astype(complex))
         if it == 1 or it % WITNESS_EVERY == 0 or it == max_iterations:
             mu = max(0.0, float(np.linalg.eigvalsh(correction(d)).max()))
-            gap = scale * np.vdot(d, rho_cc).real - mu  # <step, x> - mu = -tr(W rho)
+            gap = scale * float(np.vdot(d, rho_cc).real) - mu  # <step, x> - mu = -tr(W rho)
             if gap > WITNESS_TOL:
-                certificate = mu, d
                 trace = np.trace(d[::d_b + 1], axis1=1, axis2=2).sum().real  # tr step
                 norm_u = math.sqrt(max(0.0, residual**2 - 2 * mu * trace
                                        + mu**2 * d_a * d_b**k))
-                if gap >= (1 - 1e-10) * residual * norm_u:
-                    break
-        plateau = len(history) > 100 and 0 < history[-101] and \
-            abs(history[-101] - residual) / history[-101] < 1e-10
-        if plateau or it == max_iterations:
+                d = d.reshape(d_b, d_b, d_a, d_a).transpose(2, 0, 3, 1)  # undoes _to_cc
+                witness = mu * np.eye(d_a * d_b) - scale * d.reshape(d_a * d_b, d_a * d_b)
+                return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, gap / norm_u, it, None,
+                                         witness.astype(complex))
+        if it == max_iterations:
             break
         t = e + d  # the plain step
         e, plain = t, None
-        if certificate is None:
-            ts.append(t)
-            gs.append(g)
-            del ts[:-MEMORY - 1], gs[:-MEMORY - 1]
-            if len(ts) > 1:
-                dg = np.diff([_real_view(x) for x in gs], axis=0)
-                # rcond drops directions at round-off level, where differences are collinear
-                gamma = np.linalg.lstsq(dg.T, _real_view(g), rcond=1e-10)[0]
-                dt = np.diff(ts, axis=0)
-                e, plain = t - (gamma @ dt.reshape(len(dt), -1)).reshape(t.shape), t
-    if certificate is None:
-        return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
-    mu, d = certificate
-    d = d.reshape(d_b, d_b, d_a, d_a).transpose(2, 0, 3, 1).reshape(d_a * d_b, d_a * d_b)  # undoes _to_cc
-    witness = mu * np.eye(d_a * d_b) - scale * d
-    return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None,
-                             witness.astype(complex))
+        ts.append(t)
+        gs.append(g)
+        del ts[:-MEMORY - 1], gs[:-MEMORY - 1]
+        if len(ts) > 1:
+            dg = np.diff([_real_view(x) for x in gs], axis=0)
+            # rcond drops directions at round-off level, where differences are collinear
+            gamma = np.linalg.lstsq(dg.T, _real_view(g), rcond=1e-10)[0]
+            dt = np.diff(ts, axis=0)
+            e, plain = t - (gamma @ dt.reshape(len(dt), -1)).reshape(t.shape), t
+    return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
 
 
 def check_extendibility_witness(w: np.ndarray, rho: DensityMatrix, k: int) -> bool:

@@ -310,12 +310,13 @@ def test_spin_multiplicity_is_zero_off_the_allowed_spins():
 
 
 def test_k_extendibility_stops_on_a_flat_small_plateau():
-    # just above the k = 2 threshold 2/3 the residual flattens out near 4.5e-5 before the
-    # dual bound meets it; the bound is positive, so the plateau ends with a witness
+    # just above the k = 2 threshold 2/3 the primal residual would flatten out near 4.5e-5;
+    # the dual bound is already positive at iteration 1, so the run ends there and reports
+    # that certified distance, 4.52e-5, with its witness
     rho = q.noisy_epr(2 / 3 + 1e-4)
     rep = q.k_extendibility(rho, 2)
     assert rep.status is q.FeasStatus.INFEASIBLE_EVIDENCE
-    assert rep.iterations == 146
+    assert rep.iterations == 1
     assert rep.residual == pytest.approx(4.52e-5, rel=1e-3)
     assert q.check_extendibility_witness(rep.witness, rho, 2)
 

@@ -166,7 +166,7 @@ def test_k_extendibility_large_k_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.iterations == 2
+    assert rep.iterations == 1  # certified at the first check
     assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE  # p = 0.5 > 3/7, the k = 7 threshold
     assert peak < 64 * 2**20
     assert q.check_extendibility_witness(rep.witness, q.noisy_epr(0.5), 7)
@@ -184,6 +184,21 @@ def lift_min_eigenvalue(w, d_a, d_b, k):
     return float(np.linalg.eigvalsh(d_b ** (k - 1) * correction(to_cc(w, d_a, d_b))).min())
 
 
+def witness_bound(w, rho, k):
+    """-tr(W rho) / |sym(W x I_{B2..Bk})|_F: the distance from the PSD cone to the affine
+    set that the witness W alone certifies, with the lift built in full space."""
+    d_a, d_b = rho.dims
+    lift = symmetrize_b(tensor(w, np.eye(d_b ** (k - 1))), d_a, d_b, k)
+    return -q.witness_value(w, rho) / np.linalg.norm(lift)
+
+
+def assert_certified(rep, rho, k):
+    """A report that ends at a passing witness and reports the bound that witness gives."""
+    assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE
+    assert q.check_extendibility_witness(rep.witness, rho, k)
+    assert abs(rep.residual - witness_bound(rep.witness, rho, k)) <= 1e-12 + 1e-9 * rep.residual
+
+
 def test_grid_infeasible_evidence_carries_a_passing_witness():
     infeasible = 0
     for c in perfbench_workloads().extend_cases(1):
@@ -191,11 +206,26 @@ def test_grid_infeasible_evidence_carries_a_passing_witness():
         rep = q.k_extendibility(rho, c.k)
         if rep.status is FeasStatus.INFEASIBLE_EVIDENCE:
             infeasible += 1
-            assert q.check_extendibility_witness(rep.witness, rho, c.k)
+            assert rep.iterations == 1
+            assert_certified(rep, rho, c.k)
             assert not q.check_extendibility_witness(-rep.witness, rho, c.k)
         else:
             assert rep.witness is None
     assert infeasible == 10
+
+
+@pytest.mark.parametrize("d_a,d_b,k", [(3, 3, 2), (3, 2, 3)])
+def test_noisy_random_pure_states_are_certified_early(d_a, d_b, k):
+    # 30 % white noise leaves these entangled states outside the k-extendible set; the
+    # dual bound turns positive within a few checks, long before the primal residual settles
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        psi = q.random_pure_state(d_a * d_b, rng).amps
+        rho = q.DensityMatrix(0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(d_a * d_b) / (d_a * d_b),
+                              (d_a, d_b))
+        rep = q.k_extendibility(rho, k)
+        assert rep.iterations <= 100
+        assert_certified(rep, rho, k)
 
 
 def test_unshifted_witness_fails():
@@ -233,14 +263,17 @@ def isotropic_state(d, fidelity):
                            (d, d))
 
 
-@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (2, 5)])
-def test_isotropic_state_is_k_extendible_up_to_its_threshold(d, k):
+@pytest.mark.parametrize("d,k,offset", [
+    pytest.param(d, k, offset, id=f"{d}-{k}" if offset == 0.01 else f"{d}-{k}-near")
+    for offset in (0.01, 1e-7) for d, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (2, 5)]])
+def test_isotropic_state_is_k_extendible_up_to_its_threshold(d, k, offset):
     threshold = (k + d - 1) / (k * d)  # of the fidelity with Phi+_d
-    below = q.k_extendibility(isotropic_state(d, threshold - 0.01), k)
+    below = q.k_extendibility(isotropic_state(d, threshold - offset), k)
     assert below.status is FeasStatus.FEASIBLE
-    rho = isotropic_state(d, threshold + 0.01)
+    # above it the first bound is already positive, however small the distance
+    rho = isotropic_state(d, threshold + offset)
     above = q.k_extendibility(rho, k)
-    assert above.status is FeasStatus.INFEASIBLE_EVIDENCE
+    assert (above.status, above.iterations) == (FeasStatus.INFEASIBLE_EVIDENCE, 1)
     assert q.check_extendibility_witness(above.witness, rho, k)
 
 
@@ -257,16 +290,14 @@ def tiles_state():
 def test_tiles_state_is_ppt_and_certified_not_three_extendible():
     rho = tiles_state()
     assert q.ppt_check(rho).is_ppt
-    rep = q.k_extendibility(rho, 3, max_iterations=200)
-    assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE
-    assert q.check_extendibility_witness(rep.witness, rho, 3)
+    assert_certified(q.k_extendibility(rho, 3, max_iterations=200), rho, 3)
 
 
-def k_extendibility_full_space(rho, k, eps_feasible=1e-7, max_iterations=5000,
-                               plateau_window=100, plateau_rel=1e-10):
+def k_extendibility_full_space(rho, k, eps_feasible=1e-7, max_iterations=5000):
     """The solver's loop on the full d_A d_B^k operator, as the block solver's oracle:
-    Dykstra's x + p as one iterate z, the dual bound on step = x - y, and the safeguarded
-    Anderson step on z with the full-space step as its residual."""
+    Dykstra's x + p as one iterate z, the dual bound on step = x - y, which ends the run
+    with that bound once positive, and the safeguarded Anderson step on z with the
+    full-space step as its residual."""
     d_a, d_b = rho.dims
     dim = d_a * d_b**k
     dims_ext = (d_a,) + (d_b,) * k
@@ -287,7 +318,7 @@ def k_extendibility_full_space(rho, k, eps_feasible=1e-7, max_iterations=5000,
 
     z = project_affine(tensor(rho.mat, eye_rest))
     zs, steps = [], []  # Anderson memory: T(z) = z + step and step of accepted iterates
-    plain, accepted, certified, history = None, math.inf, False, []
+    plain, accepted = None, math.inf
     for it in itertools.count(1):
         y = project_psd(z)
         x = project_affine(y)
@@ -301,34 +332,26 @@ def k_extendibility_full_space(rho, k, eps_feasible=1e-7, max_iterations=5000,
                 break
             continue
         accepted = residual
-        history.append(residual)
         if residual <= eps_feasible and np.min(np.linalg.eigvalsh((x + x.conj().T) / 2)) >= -1e-6:
             return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x)
         if it == 1 or it % WITNESS_EVERY == 0 or it == max_iterations:
             mu = max(0.0, float(np.max(np.linalg.eigvalsh((step + step.conj().T) / 2))))
             gap = np.vdot(step, x).real - mu
             if gap > WITNESS_TOL:
-                certified = True
-                if gap >= (1 - 1e-10) * residual * np.linalg.norm(step - mu * np.eye(dim)):
-                    return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, residual, it, None)
-        if len(history) > plateau_window:
-            old = history[-plateau_window - 1]
-            if old > 0 and abs(old - residual) / old < plateau_rel:
-                break
+                bound = gap / np.linalg.norm(step - mu * np.eye(dim))
+                return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, bound, it, None)
         if it == max_iterations:
             break
         t = z + step
         z, plain = t, None
-        if not certified:
-            zs.append(t)
-            steps.append(step)
-            del zs[:-MEMORY - 1], steps[:-MEMORY - 1]
-            if len(zs) > 1:
-                dg = np.diff([reals(s) for s in steps], axis=0)
-                gamma = np.linalg.lstsq(dg.T, reals(step), rcond=1e-10)[0]
-                z, plain = t - np.tensordot(gamma, np.diff(zs, axis=0), axes=1), t
-    status = FeasStatus.INFEASIBLE_EVIDENCE if certified else FeasStatus.UNDETERMINED
-    return FeasibilityReport(status, residual, it, None)
+        zs.append(t)
+        steps.append(step)
+        del zs[:-MEMORY - 1], steps[:-MEMORY - 1]
+        if len(zs) > 1:
+            dg = np.diff([reals(s) for s in steps], axis=0)
+            gamma = np.linalg.lstsq(dg.T, reals(step), rcond=1e-10)[0]
+            z, plain = t - np.tensordot(gamma, np.diff(zs, axis=0), axes=1), t
+    return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
 
 
 def extension_inputs(d_a, d_b):
