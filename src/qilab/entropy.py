@@ -226,14 +226,18 @@ def typical_set(p: Sequence[float], n: int, delta: float,
 
 
 def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
-    """Chebyshev guarantee: mass >= 1 - Var[log2 p(X)] / (n delta^2)."""
+    """Chebyshev guarantee: mass >= 1 - Var[log2 p(X)] / (n delta^2); its limit where
+    n delta^2 underflows to 0: -inf, or 1 at zero variance (every string typical)."""
     p, n = _checked_distribution(p), _count(n, 1, "n")
     if not delta > 0:  # also rejects NaN
         raise ValueError("need delta > 0")
     nz = p[p > 0]
     logs = -np.log2(nz)
     mean = float(np.sum(nz * logs))
-    var = float(np.sum(nz * logs**2) - mean**2)
+    # equal probabilities have zero variance, which these sums would miss by round-off
+    var = 0.0 if np.ptp(logs) == 0 else float(np.sum(nz * logs**2) - mean**2)
+    if n * delta * delta == 0:
+        return -math.inf if var > 0 else 1.0
     return 1.0 - var / (n * delta * delta)
 
 

@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,22 +173,20 @@ def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return f, q, w
 
 
-class _GlGenerators(NamedTuple):
-    """Nonzero entries of G_lam[c, C, s, t], sorted by (c d + C, lam, s, t)."""
-    lam: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-    cc: np.ndarray  # c d + C
-    g: np.ndarray
-    cc_starts: np.ndarray  # where the run of each of the d^2 generators begins
-    by_block: np.ndarray  # the permutation that sorts the entries by (lam, s, t) instead
-    block_starts: np.ndarray  # where the run of each (lam, s, t) begins in that order
-
-
 @functools.lru_cache(maxsize=8)
-def _gl_generators(d: int, k: int) -> _GlGenerators:
-    """The gl(d) generators J_cC = sum_j E_cC^(j) on each Q_lam, as the entries
-    G_lam[c, C, s, t] = <w_s| J_cC |w_t> in the basis of ``_schur_weyl_basis(d, k)``.
+def _affine_maps(d: int, k: int):
+    """The A B_1 marginal of the zero-padded (n, d_A q_max, d_A q_max) block stacks of
+    ``_schur_weyl_basis(d, k)`` and its adjoint ``correction``, the blocks of
+    sym(D x I/d^{k-1}), for A B_1 operators kept as the stack D[c d + C] = <c|D|C>
+    of d_A x d_A blocks; both read d_A from their input.  Both are sums over the
+    entries G_lam[c, C, s, t] = <w_s| J_cC |w_t> of the gl(d) generators
+    J_cC = sum_j E_cC^(j) on each Q_lam:
+
+        marginal(X)[c C] = sum_lam (f_lam/k) sum_{s,t} G_lam[c, C, s, t] X_lam[(., s), (., t)]
+        correction(D)_lam[(., s), (., t)] = sum_{c,C} G_lam[c, C, s, t] D[c C] / (k d^{k-1})
+
+    Each is one gather, scaled, then summed over runs of entries by np.add.reduceat;
+    neither reads the padding of a stack, and ``correction`` leaves it zero.
 
     Column s of w[lam] has the weight of semistandard filling s: the QR keeps
     the fillings in order, and fillings of different weight stay orthogonal.
@@ -196,9 +194,10 @@ def _gl_generators(d: int, k: int) -> _GlGenerators:
     wt(t) - e_C =: rho.  For each rho, with A[(j, r), (c, s)] = <x| w_s> where
     x is the string r of weight rho with digit c inserted at position j, the
     entries are A^T A.  Weights are keyed by their digits in increasing order,
-    read as a base-d number.  The arrays are cached, so read-only.
+    read as a base-d number.
     """
-    _, q, w = _schur_weyl_basis(d, k)
+    f, _, w = _schur_weyl_basis(d, k)
+    n, dim, q_max = w.shape
     place = d ** np.arange(k - 1, -1, -1)
     rest = np.arange(d ** (k - 1))
     # x[j, r, c]: the string r of k - 1 digits with c inserted at position j
@@ -220,19 +219,34 @@ def _gl_generators(d: int, k: int) -> _GlGenerators:
             cc = c[sel, None] * d + c[sel]
             parts.append(np.broadcast_arrays(l, s[sel, None], s[sel], cc, g))
     lam, s, t, cc, g = (np.concatenate([p[i].ravel() for p in parts]) for i in range(5))
+    # the marginal sums runs of one generator c d + C, with entries sorted by (c d + C, lam, s, t)
     order = np.lexsort((t, s, lam, cc))
     lam, s, t, cc, g = lam[order], s[order], t[order], cc[order], g[order]
     # np.add.reduceat needs every run non-empty: each (lam, s, t) run is by
     # construction, and each generator has entries on lam = (k)
     assert np.bincount(cc[lam == 0], minlength=d * d).all(), "a generator misses lam = (k)"
     cc_starts = np.searchsorted(cc, np.arange(d * d))
+    g_marg = (g * f[lam] / k)[:, None, None]
+    # the correction sums runs of one block entry (lam, s, t), sorted by (lam, s, t, c d + C)
     by_block = np.lexsort((cc, t, s, lam))
-    block = (lam * q.max() + s)[by_block] * q.max() + t[by_block]
+    block = (lam * q_max + s)[by_block] * q_max + t[by_block]
     block_starts = np.flatnonzero(np.diff(block, prepend=-1))
-    out = _GlGenerators(lam, s, t, cc, g, cc_starts, by_block, block_starts)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    cc_corr, g_corr = cc[by_block], (g[by_block] / (k * dim // d))[:, None, None]
+    head = by_block[block_starts]  # the first entry of each (lam, s, t) run
+    lam_z, s_z, t_z = lam[head], s[head], t[head]
+
+    def marginal(blocks: np.ndarray) -> np.ndarray:
+        d_a = blocks.shape[1] // q_max  # block rows are (a, s), padded in s
+        entries = blocks.reshape(n, d_a, q_max, d_a, q_max)[lam, :, s, :, t]
+        return np.add.reduceat(entries * g_marg, cc_starts, axis=0)
+
+    def correction(delta: np.ndarray) -> np.ndarray:
+        d_a = delta.shape[1]
+        z = np.zeros((n, d_a, q_max, d_a, q_max), dtype=delta.dtype)
+        z[lam_z, :, s_z, :, t_z] = np.add.reduceat(delta[cc_corr] * g_corr, block_starts, axis=0)
+        return z.reshape(n, d_a * q_max, d_a * q_max)
+
+    return marginal, correction
 
 
 def _group_by(keys: np.ndarray) -> dict[int, np.ndarray]:
@@ -284,9 +298,10 @@ def _spin_fraction(n: int, j: float) -> float:
 
 
 def spin_multiplicity_bound(n: int, j: float) -> float:
-    """m_j^(n) <= 2^{n h(1/2 + j/n)} via the binomial entropy bound."""
+    """m_j^(n) <= 2^{n h(1/2 + j/n)}, the binomial entropy bound; inf (true but vacuous) from 2^1024."""
     n = _count(n, 1, "n")
-    return 2.0 ** (n * binary_entropy(_spin_fraction(n, j)))
+    exponent = n * binary_entropy(_spin_fraction(n, j))
+    return 2.0 ** exponent if exponent < 1024 else math.inf
 
 
 @dataclass(frozen=True)

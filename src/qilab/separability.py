@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import _iter_types
-from .schur import _blocks_to_operator, _gl_generators, _schur_weyl_basis
+from .schur import _affine_maps, _blocks_to_operator
 from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
     _as_matrix,
@@ -20,6 +20,7 @@ from .tensor import (
     _count,
     _finite,
     _hermitian,
+    _strict_int,
     hermitian_eig,
     partial_transpose,
 )
@@ -125,44 +126,12 @@ def _marginal_power(m: np.ndarray, k: int, power: float) -> np.ndarray:
     return out
 
 
-def _affine_maps(d_a: int, d_b: int, k: int):
-    """The A B_1 marginal of the padded block stacks of ``_schur_weyl_basis(d_b, k)``
-    and its adjoint ``correction``, the blocks of sym(D x I/d_B^{k-1}).  A B_1
-    operators are kept as in ``_to_cc``.  Both are sums over the
-    entries G_lam[c, C, s, t] of the gl(d_B) generators (``_gl_generators``):
-
-        marginal(X)[c C] = sum_lam (f_lam/k) sum_{s,t} G_lam[c, C, s, t] X_lam[(., s), (., t)]
-        correction(D)_lam[(., s), (., t)] = sum_{c,C} G_lam[c, C, s, t] D[c C] / (k d_B^{k-1})
-
-    Each is one gather, scaled, then summed over runs of entries by np.add.reduceat.
-    """
-    f, _, w = _schur_weyl_basis(d_b, k)
-    n, dim_b, q_max = w.shape
-    gen = _gl_generators(d_b, k)
-    at = (gen.lam, slice(None), gen.s, slice(None), gen.t)
-    g_marg = (gen.g * f[gen.lam] / k)[:, None, None]
-    cc, g_corr = gen.cc[gen.by_block], (gen.g[gen.by_block] / (k * dim_b // d_b))[:, None, None]
-    first = gen.by_block[gen.block_starts]
-    blocks = (gen.lam[first], slice(None), gen.s[first], slice(None), gen.t[first])
-    shape = (n, d_a, q_max, d_a, q_max)  # block rows are (a, s), padded in s
-
-    def marginal(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x.reshape(shape)[at] * g_marg, gen.cc_starts, axis=0)
-
-    def correction(delta: np.ndarray) -> np.ndarray:
-        z = np.zeros(shape, dtype=delta.dtype)
-        z[blocks] = np.add.reduceat(delta[cc] * g_corr, gen.block_starts, axis=0)
-        return z.reshape(n, d_a * q_max, d_a * q_max)
-
-    return marginal, correction
-
-
-def _project_psd_blocks(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _project_psd_blocks(z: np.ndarray) -> np.ndarray:
     """Eigenvalue clipping of each block of a padded stack by one batched eigh, which
     reads one triangle (so z need not be exactly Hermitian); eigenvectors may mix
-    padding into a block where eigenvalues meet, so ``keep`` zeroes it again."""
+    padding into a block where eigenvalues meet, and nothing reads it."""
     vals, vecs = np.linalg.eigh(z)
-    return (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1) * keep
+    return (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def _extension_dims(rho: DensityMatrix, k: int) -> tuple[int, int, int]:
@@ -194,8 +163,9 @@ def k_extendibility(rho: DensityMatrix, k: int,
     loop keeps: with y = P_psd(z), D = L^{-1}(rho - marginal(y)) and
     step = correction(D), x = y + step and x + p = z + step, so E += D.
     Each iteration is one batched eigh over the blocks plus two sparse
-    contractions with the gl(d_B) generators on each Q_lam (``_affine_maps``),
-    so nothing with d_B^k rows is touched; a real rho stays real throughout.
+    contractions with the gl(d_B) generators on each Q_lam (``schur._affine_maps``,
+    one cached plan per (d_B, k)), so nothing with d_B^k rows is touched and no
+    block's padding is read; a real rho stays real throughout.
     The residual |y - x| = |step| is sqrt(d_B^{1-k}) |L^{1/2} D|.
 
     Dual bound: step is orthogonal to the affine set's linear part, so with
@@ -221,11 +191,7 @@ def k_extendibility(rho: DensityMatrix, k: int,
     """
     d_a, d_b, k = _extension_dims(rho, k)
     max_iterations = _count(max_iterations, 1, "max_iterations")
-    _, q, w = _schur_weyl_basis(d_b, k)
-    q_max = w.shape[2]
-    marginal, correction = _affine_maps(d_a, d_b, k)
-    keep = np.arange(d_a * q_max) % q_max < q[:, None]  # block rows are (a, s), padded in s
-    keep = keep[:, :, None] & keep[:, None, :]
+    marginal, correction = _affine_maps(d_b, k)
     rho_cc = _to_cc(rho.mat if rho.mat.imag.any() else rho.mat.real, d_a, d_b)
     scale = d_b ** (1.0 - k)
     e = _marginal_power(rho_cc, k, -1)  # z = P_affine(correction(rho)), p = 0
@@ -233,8 +199,8 @@ def k_extendibility(rho: DensityMatrix, k: int,
     gs: list[np.ndarray] = []
     plain = None  # E + D of the last accepted iterate while e is extrapolated
     accepted = math.inf
-    for it in itertools.count(1):
-        y = _project_psd_blocks(correction(e), keep)
+    for it in range(1, max_iterations + 1):
+        y = _project_psd_blocks(correction(e))
         d = _marginal_power(rho_cc - marginal(y), k, -1)
         g = _marginal_power(d, k, 0.5)
         residual = math.sqrt(scale * np.vdot(g, g).real)  # full-space |y - x|
@@ -243,8 +209,6 @@ def k_extendibility(rho: DensityMatrix, k: int,
             e, plain, residual = plain, None, accepted
             ts.clear()
             gs.clear()
-            if it == max_iterations:
-                break
             continue
         accepted = residual
         if residual <= 1e-7:
@@ -263,8 +227,6 @@ def k_extendibility(rho: DensityMatrix, k: int,
                 witness = mu * np.eye(d_a * d_b) - scale * d.reshape(d_a * d_b, d_a * d_b)
                 return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, gap / norm_u, it, None,
                                          witness.astype(complex))
-        if it == max_iterations:
-            break
         t = e + d  # the plain step
         e, plain = t, None
         ts.append(t)
@@ -287,7 +249,7 @@ def check_extendibility_witness(w: np.ndarray, rho: DensityMatrix, k: int) -> bo
     checked block by block."""
     d_a, d_b, k = _extension_dims(rho, k)
     w = _hermitian(_operator_on(w, rho), "witness")
-    _, correction = _affine_maps(d_a, d_b, k)
+    _, correction = _affine_maps(d_b, k)
     lift = d_b ** (k - 1) * correction(_to_cc(w, d_a, d_b))
     return bool(np.linalg.eigvalsh(lift).min() >= -WITNESS_TOL
                 and witness_value(w, rho) < -WITNESS_TOL)
@@ -359,6 +321,14 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
 # support functions h_Sep and h_{n-ext}
 # ---------------------------------------------------------------------------
 
+def _two_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
+    """The ``dims`` of the operator ``m`` by ``_check_dims``; exactly two, else ValueError."""
+    dims = _check_dims(m.shape[0], dims)
+    if len(dims) != 2:
+        raise ValueError(f"dims {dims} must name exactly two subsystems")
+    return dims
+
+
 def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     """Largest eigenvalue of (I x Pi_sym) (M x I^{n-1}) (I x Pi_sym).
 
@@ -367,7 +337,7 @@ def h_n_ext(m: np.ndarray, dims: tuple[int, int], n: int) -> float:
     maps Sym^n into C^{d_B} x Sym^{n-1}, where M x I acts.
     """
     m = _as_matrix(m)
-    d_a, d_b = _check_dims(m.shape[0], dims)
+    d_a, d_b = _two_dims(m, dims)
     n = _count(n, 1, "n")
     with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf or overflow: refused below
         h = ((m + m.conj().T) / 2).reshape(d_a, d_b, d_a, d_b)  # makes op exactly Hermitian
@@ -399,7 +369,7 @@ def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
     """
     starts = _count(starts, 1, "starts")
     m = _finite(_as_matrix(m))
-    d_a, d_b = _check_dims(m.shape[0], dims)
+    d_a, d_b = _two_dims(m, dims)
     m = m.reshape(d_a, d_b, d_a, d_b)
 
     def ascend(spec: str, v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -477,7 +447,8 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]]) -> MotzkinStrausRep
     if n > 20:
         raise ValueError("vertex count must be in 1..20")
     eset = set()
-    for i, j in edges:
+    for edge in edges:
+        i, j = map(_strict_int, edge)  # the subsystem-index rule
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bad edge ({i}, {j})")
         eset.add((min(i, j), max(i, j)))

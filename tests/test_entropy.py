@@ -349,3 +349,14 @@ def test_compression_phase_transition_small():
     assert lo.success_rate < 0.1
     again = q.compression_trial([0.11, 0.89], 400, 0.65, trials=100, seed=5)
     assert again.successes == hi.successes  # deterministic given seed
+
+
+@pytest.mark.parametrize("p,want", [([0.3, 0.7], -math.inf), ([0.5, 0.5], 1.0), ([1 / 3] * 3, 1.0),
+                                    ([1 / 7] * 7, 1.0)])
+def test_typical_mass_lower_bound_where_n_delta_squared_underflows(p, want):
+    # n delta^2 = 0 in floating point: the limit of 1 - Var/(n delta^2), -inf for a
+    # positive variance and 1 for uniform p, where every string is typical; uniform p
+    # has zero variance however its log-probabilities round
+    assert q.typical_mass_lower_bound(p, 10, 1e-200) == want
+    assert q.typical_mass_lower_bound(p, 10, 1e-160) == want  # no underflow: the same value
+    assert q.typical_mass_lower_bound(p, 10, 0.1) <= 1.0

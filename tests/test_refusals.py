@@ -110,6 +110,12 @@ REFUSALS = {
     "maximally_mixed(2.5)": (lambda: q.maximally_mixed(2.5), "expected an integer"),
     "permutation_operator([True, False])": (lambda: q.permutation_operator(2, [True, False]),
                                             "expected an integer"),
+    "motzkin_straus(edge (0, 1.5))": (lambda: q.motzkin_straus(3, [(0, 1.5)]),
+                                      "^expected an integer, got 1.5$"),
+    "motzkin_straus(edge ('a', 1))": (lambda: q.motzkin_straus(3, [("a", 1)]),
+                                      "^expected an integer, got 'a'$"),
+    "motzkin_straus(edge (0, True))": (lambda: q.motzkin_straus(3, [(0, True)]),
+                                       "^expected an integer, got True$"),
     "depolarizing_channel(d=0)": (lambda: q.depolarizing_channel(0.5, 0), "positive integer"),
     "phi_plus(-1)": (lambda: q.phi_plus(-1), "positive integer"),
     "maximally_mixed(0)": (lambda: q.maximally_mixed(0), "positive integer"),
@@ -131,6 +137,10 @@ REFUSALS = {
     "h_sep_sampled(5 x 5)": (lambda: q.h_sep_sampled(np.eye(5), (2, 2)), "imply size 4"),
     "h_sep_sampled(dims (2.5, 1.6))": (lambda: q.h_sep_sampled(np.eye(4), (2.5, 1.6)), "expected an integer"),
     "h_n_ext(NaN)": (lambda: q.h_n_ext(NAN4, (2, 2), 2), "NaN or infinite"),
+    "h_n_ext(dims (2, 2, 2))": (lambda: q.h_n_ext(np.eye(8), (2, 2, 2), 2),
+                                r"^dims \(2, 2, 2\) must name exactly two subsystems$"),
+    "h_sep_sampled(dims (2, 2, 2))": (lambda: q.h_sep_sampled(np.eye(8), (2, 2, 2)),
+                                      r"^dims \(2, 2, 2\) must name exactly two subsystems$"),
     "witness_value(NaN)": (lambda: q.witness_value(NAN4, q.noisy_epr(0.5)), "NaN or infinite"),
     "witness_value(inf)": (lambda: q.witness_value(INF4, q.noisy_epr(0.5)), "NaN or infinite"),
     "check_extendibility_witness(NaN)": (
@@ -295,6 +305,11 @@ def test_count_is_read_by_one_rule(name):
     with pytest.raises(ValueError, match=f"^{param} must be {bound}, got {least - 1}$"):
         call(least - 1)
     assert same(call(float(valid)), call(valid))
+
+
+def test_motzkin_straus_reads_an_integral_float_endpoint():
+    # edge endpoints follow the subsystem-index rule: 1.0 is the vertex 1
+    assert same(q.motzkin_straus(3, [(0, 1.0)]), q.motzkin_straus(3, [(0, 1)]))
 
 
 def test_kraus_channel_output_dimension():

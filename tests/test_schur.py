@@ -354,3 +354,12 @@ def test_schur_weyl_blocks_reassemble_invariant_operators(shape, seed):
     f = _schur_weyl_basis(d, k)[0]
     weighted = float(f @ np.sum(np.abs(blocks) ** 2, axis=(1, 2)))
     assert weighted == pytest.approx(float(np.sum(np.abs(x) ** 2)), rel=1e-12)
+
+
+def test_spin_multiplicity_bound_is_inf_once_the_power_overflows():
+    # n h(1/2 + j/n) >= 1024: 2^(n h) is not a float, and inf is the true, vacuous bound
+    assert q.spin_multiplicity_bound(1024, 0) == math.inf
+    assert q.spin_multiplicity_bound(2000, 0) == math.inf
+    # just below 2^1024 the power is formed as before
+    assert q.spin_multiplicity_bound(1023, 0.5) == 2.0 ** (1023 * q.binary_entropy(0.5 + 0.5 / 1023))
+    assert 8.9e307 < q.spin_multiplicity_bound(1023, 0.5) < math.inf

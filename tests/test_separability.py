@@ -9,14 +9,13 @@ import pytest
 
 import qilab as q
 from cli_golden import perfbench_workloads
-from qilab.schur import _blocks_to_operator, _gl_generators, _schur_weyl_basis
+from qilab.schur import _affine_maps, _blocks_to_operator, _schur_weyl_basis
 from qilab.separability import (
     MEMORY,
     WITNESS_EVERY,
     WITNESS_TOL,
     FeasibilityReport,
     FeasStatus,
-    _affine_maps,
     _marginal_power,
     _max_clique,
     _project_psd_blocks,
@@ -180,7 +179,7 @@ def test_k_extendibility_without_a_positive_bound_is_undetermined():
 
 def lift_min_eigenvalue(w, d_a, d_b, k):
     """lam_min of sym(w x I_{B2..Bk}), from its Schur-Weyl blocks."""
-    _, correction = _affine_maps(d_a, d_b, k)
+    _, correction = _affine_maps(d_b, k)
     return float(np.linalg.eigvalsh(d_b ** (k - 1) * correction(to_cc(w, d_a, d_b))).min())
 
 
@@ -233,12 +232,9 @@ def test_unshifted_witness_fails():
     rho = q.phi_plus().density()
     rep = q.k_extendibility(rho, 2, max_iterations=1)
     assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE
-    marginal, correction = _affine_maps(2, 2, 2)
-    _, q_dims, w = _schur_weyl_basis(2, 2)
-    keep = np.arange(2 * w.shape[2]) % w.shape[2] < q_dims[:, None]
+    marginal, correction = _affine_maps(2, 2)
     rho_cc = to_cc(rho.mat, 2, 2)
-    y = _project_psd_blocks(correction(_marginal_power(rho_cc, 2, -1)),
-                            keep[:, :, None] & keep[:, None, :])
+    y = _project_psd_blocks(correction(_marginal_power(rho_cc, 2, -1)))
     d = from_cc(_marginal_power(rho_cc - marginal(y), 2, -1), 2, 2) / 2
     mu = -lift_min_eigenvalue(-d, 2, 2, 2)  # lam_max of step = sym(d x I)
     assert mu == pytest.approx(0.0208, abs=1e-4)
@@ -390,9 +386,9 @@ def test_k_extendibility_real_and_complex_arithmetic_agree(d_a, d_b, k, monkeypa
     dtypes = []
     psd_step = q.separability._project_psd_blocks
 
-    def recording_psd_step(z, keep):
+    def recording_psd_step(z):
         dtypes.append(z.dtype)
-        return psd_step(z, keep)
+        return psd_step(z)
 
     monkeypatch.setattr(q.separability, "_project_psd_blocks", recording_psd_step)
     for mat in extension_inputs(d_a, d_b)[:2]:  # Phi+ and noisy Phi+, both real
@@ -430,15 +426,10 @@ def test_feasible_extension_is_psd_up_to_its_residual():
 @pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 7), (1, 2, 9), (2, 3, 4), (1, 4, 4), (2, 5, 2)])
 def test_block_psd_step_matches_full_eigh_projection(d_a, d_b, k):
     dim = d_a * d_b**k
-    f, q_dims, w = _schur_weyl_basis(d_b, k)
-    q_max = w.shape[2]
-    keep = np.arange(d_a * q_max) % q_max < q_dims[:, None]
-    keep = keep[:, :, None] & keep[:, None, :]
     for _ in range(2):
         g = random_operator(dim)
         x = symmetrize_b((g + g.conj().T) / (2 * dim), d_a, d_b, k)
-        y = _project_psd_blocks(to_schur_weyl_blocks(x, d_a, d_b, k), keep)
-        assert not np.any(y[~keep])  # the padding stays exactly zero
+        y = _project_psd_blocks(to_schur_weyl_blocks(x, d_a, d_b, k))
         vals, vecs = np.linalg.eigh(x)
         full = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         assert np.max(np.abs(_blocks_to_operator(y, d_a, d_b, k) - full)) <= 1e-12
@@ -453,7 +444,7 @@ def cold_cache_peak(d_a, d_b, k):
     rho = q.random_density_matrix(d_a * d_b, np.random.default_rng(0))
     rho = q.DensityMatrix(rho.mat, (d_a, d_b))
     _schur_weyl_basis.cache_clear()
-    _gl_generators.cache_clear()
+    _affine_maps.cache_clear()
     tracemalloc.start()
     try:
         rep = q.k_extendibility(rho, k, max_iterations=2)
@@ -477,19 +468,25 @@ def test_k_extendibility_affine_step_peak_memory_from_a_cold_cache():
 AFFINE_CELLS = [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 3), (1, 4, 3), (2, 2, 5)]
 
 
-def random_blocks(d_a, d_b, k, rng):
+def padding_mask(d_a, d_b, k):
+    """True on the padding of a block stack, whose rows and columns are (a, s), padded in s."""
     _, q_dims, w = _schur_weyl_basis(d_b, k)
+    keep = np.arange(d_a * w.shape[2]) % w.shape[2] < q_dims[:, None]
+    return ~(keep[:, :, None] & keep[:, None, :])
+
+
+def random_blocks(d_a, d_b, k, rng):
+    _, _, w = _schur_weyl_basis(d_b, k)
     n, _, q_max = w.shape
     x = rng.normal(size=(n, d_a * q_max, d_a * q_max)) \
         + 1j * rng.normal(size=(n, d_a * q_max, d_a * q_max))
-    keep = np.arange(d_a * q_max) % q_max < q_dims[:, None]
-    return x * (keep[:, :, None] & keep[:, None, :])
+    return x * ~padding_mask(d_a, d_b, k)
 
 
 @pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS)
 def test_generator_maps_match_the_basis_contractions(d_a, d_b, k):
     rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)
-    marginal, correction = _affine_maps(d_a, d_b, k)
+    marginal, correction = _affine_maps(d_b, k)
     for _ in range(2):
         x = random_blocks(d_a, d_b, k, rng)
         want = u_marginal(x, d_a, d_b, k)
@@ -501,18 +498,32 @@ def test_generator_maps_match_the_basis_contractions(d_a, d_b, k):
 
 @pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS)
 def test_marginal_of_correction_is_inverted_by_marginal_inverse(d_a, d_b, k):
-    marginal, correction = _affine_maps(d_a, d_b, k)
+    marginal, correction = _affine_maps(d_b, k)
     for _ in range(3):
         delta = to_cc(random_operator(d_a * d_b), d_a, d_b)
         assert np.max(np.abs(_marginal_power(marginal(correction(delta)), k, -1) - delta)) <= 1e-12
 
 
+@pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS + [(2, 4, 4)])
+def test_padding_is_never_read(d_a, d_b, k):
+    rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)
+    marginal, correction = _affine_maps(d_b, k)
+    pad = padding_mask(d_a, d_b, k)
+    x = random_blocks(d_a, d_b, k, rng)
+    garbage = np.where(pad, 1e3 * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)), x)
+    assert np.array_equal(marginal(garbage), marginal(x))
+    assert np.array_equal(_blocks_to_operator(garbage, d_a, d_b, k), _blocks_to_operator(x, d_a, d_b, k))
+    z = correction(to_cc(random_operator(d_a * d_b), d_a, d_b))
+    assert not np.any(z[pad])
+
+
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 5), (3, 3), (4, 3), (3, 4)])
 def test_generators_satisfy_the_gl_commutation_relations(d, k):
-    _, q_dims, w = _schur_weyl_basis(d, k)
-    gen = _gl_generators(d, k)
-    e = np.zeros((d, d) + w.shape[:1] + (w.shape[2],) * 2)
-    e[gen.cc // d, gen.cc % d, gen.lam, gen.s, gen.t] = gen.g
+    _, q_dims, _ = _schur_weyl_basis(d, k)
+    _, correction = _affine_maps(d, k)
+    # G_lam[c, C] = k d^{k-1} correction(E_cC) at d_A = 1, E_cC kept as in to_cc
+    e = np.array([k * d ** (k - 1) * correction(e_cc.reshape(d * d, 1, 1)) for e_cc in np.eye(d * d)])
+    e = e.reshape((d, d) + e.shape[1:])
     for l, q_l in enumerate(q_dims):
         g = e[:, :, l, :q_l, :q_l]
         for a, b, c, dd in itertools.product(range(d), repeat=4):
