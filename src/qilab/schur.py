@@ -27,19 +27,17 @@ def symmetric_projector(d: int, n: int) -> np.ndarray:
 
     For each occupation type t the vector is the uniform superposition of
     the C(n; t) computational strings with that type; these are orthonormal
-    and span the symmetric subspace.  The basis indices are grouped by type
-    from their digits, and each type's constant 1/C(n; t) block is written
-    in place, so the work is the sum of the squared class sizes.
+    and span the symmetric subspace.  A string's type is keyed by one
+    integer, its digits sorted and read as a base-d number; ``_group_by``
+    gathers the basis indices of each key, and each type's constant
+    1/C(n; t) block is written in place, so the work is the sum of the
+    squared class sizes.
     """
     d, n = _strict_int(d), _strict_int(n)
     dim = _checked_dim(d, n)
-    # a string's sorted digits name its type
-    types, type_of = np.unique(np.sort(basis_digits(d, n), axis=0), axis=1,
-                               return_inverse=True)
-    type_of = type_of.reshape(-1)
+    key = np.sort(basis_digits(d, n), axis=0).T @ d ** np.arange(n - 1, -1, -1)
     proj = np.zeros((dim, dim), dtype=complex)
-    for t in range(types.shape[1]):
-        idx = np.flatnonzero(type_of == t)
+    for idx in _group_by(key).values():
         proj[np.ix_(idx, idx)] = 1.0 / idx.size
     return proj
 

@@ -6,7 +6,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -448,7 +448,10 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]]) -> MotzkinStrausRep
         raise ValueError("vertex count must be in 1..20")
     eset = set()
     for edge in edges:
-        i, j = map(_strict_int, edge)  # the subsystem-index rule
+        pair = tuple(edge) if isinstance(edge, Iterable) else ()
+        if len(pair) != 2:
+            raise ValueError(f"edge {edge!r} is not a pair of vertices")
+        i, j = map(_strict_int, pair)  # the subsystem-index rule
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"bad edge ({i}, {j})")
         eset.add((min(i, j), max(i, j)))

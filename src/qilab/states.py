@@ -80,7 +80,7 @@ class PureState:
         _checked_dim(self.dim)
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), self.dims)
 
-    def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
+    def marginal(self, keep: Sequence[int] | int) -> "DensityMatrix":
         """Reduced state A A^dag from the (kept x rest) amplitude matrix A."""
         keep = _subsystems(keep, len(self.dims))
         a = _amplitude_matrix(self.amps, self.dims, keep)
@@ -111,7 +111,7 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def marginal(self, keep: Sequence[int]) -> "DensityMatrix":
+    def marginal(self, keep: Sequence[int] | int) -> "DensityMatrix":
         keep = _subsystems(keep, len(self.dims))
         return DensityMatrix(partial_trace(self.mat, self.dims, keep), tuple(self.dims[k] for k in keep))
 

@@ -58,9 +58,11 @@ def _checked_dim(d: int, n: int = 1, *, state: bool = False) -> int:
     return d**n
 
 
-def _subsystems(indices: Iterable[int], n: int) -> list[int]:
-    """The distinct subsystem indices in ascending order, each read by ``_strict_int``;
-    IndexError unless all lie in 0..n-1."""
+def _subsystems(indices: Iterable[int] | int, n: int) -> list[int]:
+    """The distinct subsystem indices in ascending order, each read by ``_strict_int``,
+    a single index standing for itself; IndexError unless all lie in 0..n-1."""
+    if not isinstance(indices, Iterable):
+        indices = [indices]
     idx = sorted({_strict_int(k) for k in indices})
     if any(k < 0 or k >= n for k in idx):
         raise IndexError(f"subsystem indices {idx} out of range for {n} subsystems")
@@ -95,10 +97,10 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int] | int) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
-    ``keep`` is a collection of subsystem indices into ``dims``; the result
+    ``keep`` is a subsystem index into ``dims`` or a collection of them; the result
     carries the kept subsystems in their original relative order.  One einsum
     does it: a traced subsystem repeats its row label on its column axis.
     """
@@ -128,7 +130,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[i
     m = _as_matrix(m)
     dims = _check_dims(m.shape[0], dims)
     n = len(dims)
-    subs = _subsystems(subsystems if isinstance(subsystems, Iterable) else [subsystems], n)
+    subs = _subsystems(subsystems, n)
     t = m.reshape(dims + dims)
     axes = list(range(2 * n))
     for s in subs:
@@ -143,9 +145,10 @@ def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got {m.shape}")
+    adj = m.conj().T.copy()  # one transposed pass, read by both
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.max(np.abs(m - m.conj().T), initial=0.0)
-        h = (m + m.conj().T) / 2
+        defect = np.max(np.abs(m - adj), initial=0.0)
+        h = (m + adj) / 2
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     if not np.isfinite(h).all():

@@ -116,6 +116,11 @@ REFUSALS = {
                                       "^expected an integer, got 'a'$"),
     "motzkin_straus(edge (0, True))": (lambda: q.motzkin_straus(3, [(0, True)]),
                                        "^expected an integer, got True$"),
+    "motzkin_straus(edge (0, 1, 2))": (lambda: q.motzkin_straus(3, [(0, 1, 2)]),
+                                       r"^edge \(0, 1, 2\) is not a pair of vertices$"),
+    "motzkin_straus(edge (0,))": (lambda: q.motzkin_straus(3, [(0,)]),
+                                  r"^edge \(0,\) is not a pair of vertices$"),
+    "motzkin_straus(edge 5)": (lambda: q.motzkin_straus(3, [5]), "^edge 5 is not a pair of vertices$"),
     "depolarizing_channel(d=0)": (lambda: q.depolarizing_channel(0.5, 0), "positive integer"),
     "phi_plus(-1)": (lambda: q.phi_plus(-1), "positive integer"),
     "maximally_mixed(0)": (lambda: q.maximally_mixed(0), "positive integer"),

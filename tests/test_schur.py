@@ -15,6 +15,7 @@ from qilab.tensor import permutation_operator, swap_operator, tensor
 from tests_helpers_schur import (
     semistandard_fillings,
     spin_multiplicity_recursive,
+    symmetric_projector_by_unique,
     symmetrize_b,
     to_schur_weyl_blocks,
 )
@@ -82,6 +83,12 @@ def test_symmetric_projector_matches_permutation_average(d, n):
     assert np.max(np.abs(a - b)) < 1e-12
     assert np.max(np.abs(a @ a - a)) < 1e-12
     assert np.trace(a).real == pytest.approx(q.symmetric_dimension(d, n), abs=1e-9)
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (2, 0), (1, 5), (2, 10), (3, 6), (4, 5), (5, 2), (7, 3),
+                                  (32, 2), (1024, 1)])
+def test_symmetric_projector_is_bytewise_the_unique_type_oracle(d, n):
+    assert q.symmetric_projector(d, n).tobytes() == symmetric_projector_by_unique(d, n).tobytes()
 
 
 def test_symmetric_projector_two_copies_closed_form():

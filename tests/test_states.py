@@ -279,6 +279,14 @@ def test_pure_marginal_matches_partial_trace_of_density(keep):
         psi.marginal([0, 4])
 
 
+def test_marginals_read_a_single_subsystem_index():
+    psi = q.random_pure_state((2, 3), RNG)
+    for i in range(2):
+        assert np.array_equal(psi.marginal(i).mat, psi.marginal([i]).mat)
+        assert np.array_equal(psi.density().marginal(i).mat, psi.density().marginal([i]).mat)
+    assert psi.marginal(1).dims == psi.density().marginal(1).dims == (3,)
+
+
 def test_tetrahedron_povm_is_valid():
     povm = q.tetrahedron_povm()
     total = sum(povm.elements)

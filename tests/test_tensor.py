@@ -136,6 +136,36 @@ def test_hermitian_reader_returns_the_hermitian_part(d, seed, defect, scale):
     assert not is_hermitian(bad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 17, 64, 300])
+def test_hermitian_reader_is_bytewise_the_hermitian_part(d):
+    rng = np.random.default_rng(d)
+    m = random_hermitian(d, rng) + 1e-10 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    assert _hermitian(m, "m").tobytes() == ((m + m.conj().T) / 2).tobytes()
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "rho is not Hermitian (defect 1.000e+00 > 1.0e-09)"),
+    (np.diag([math.nan, 1.0]), "rho is not Hermitian (defect nan > 1.0e-09)"),
+    (np.full((2, 2), 1.7e308), "rho has entries too large: its Hermitian part overflows"),
+])
+def test_hermitian_reader_messages(m, message):
+    with pytest.raises(ValueError) as err:
+        _hermitian(m, "rho")
+    assert str(err.value) == message
+
+
+def test_a_single_subsystem_index_stands_for_itself():
+    m = random_hermitian(6)
+    for i in range(2):
+        assert np.array_equal(partial_trace(m, (2, 3), i), partial_trace(m, (2, 3), [i]))
+        assert np.array_equal(partial_transpose(m, (2, 3), i), partial_transpose(m, (2, 3), [i]))
+    assert np.array_equal(partial_trace(m, (2, 3), np.int64(1)), partial_trace(m, (2, 3), [1]))
+    with pytest.raises(IndexError, match="out of range"):
+        partial_trace(m, (2, 3), 2)
+    with pytest.raises(ValueError, match="^expected an integer, got True$"):
+        partial_trace(m, (2, 3), True)
+
+
 def test_trace_norm_is_sum_of_abs_eigenvalues():
     m = random_hermitian(5)
     vals = np.linalg.eigvalsh(m)

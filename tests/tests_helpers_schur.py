@@ -2,6 +2,19 @@
 import numpy as np
 
 from qilab.schur import _permutation_average, _schur_weyl_basis
+from qilab.tensor import basis_digits
+
+
+def symmetric_projector_by_unique(d: int, n: int) -> np.ndarray:
+    """Projector onto Sym^n(C^d) from the types found by np.unique over the sorted
+    digit columns, one O(d^n) scan per type to find its basis indices."""
+    types, type_of = np.unique(np.sort(basis_digits(d, n), axis=0), axis=1, return_inverse=True)
+    type_of = type_of.reshape(-1)
+    proj = np.zeros((d**n, d**n), dtype=complex)
+    for t in range(types.shape[1]):
+        idx = np.flatnonzero(type_of == t)
+        proj[np.ix_(idx, idx)] = 1.0 / idx.size
+    return proj
 
 
 def spin_multiplicity_recursive(n: int, j: float) -> int:
