@@ -115,8 +115,6 @@ def _cmd_classify3q(args) -> tuple[dict, int]:
 
 def _cmd_marginal3q(args) -> tuple[dict, int]:
     lams = (args.a, args.b, args.c)
-    if any(not 0.5 <= x <= 1.0 for x in lams):
-        raise FormatError("largest eigenvalues must lie in [1/2, 1]")
     ok = pure_mod.three_qubit_spectra_compatible(lams)
     out: dict[str, Any] = {"compatible": ok}
     if ok:

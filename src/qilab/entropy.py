@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import _checked_dim, _count, basis_digits, hermitian_eig, trace_norm
+from .tensor import _checked_dim, _count, _ndim, basis_digits, hermitian_eig, trace_norm
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -20,8 +20,12 @@ MC_BATCH = 4096  # rows per multinomial draw in typical_set: bounded memory, the
 TYPE_CLASS_CAP = 2**15  # compression_trial keeps n log2(d)-bit sizes per class: 260 MB at n = 2^15 - 1
 
 
-def _checked_distribution(p: Sequence[float]) -> np.ndarray:
+def _checked_distribution(p: Sequence[float], ndim: int | None = 1) -> np.ndarray:
+    """``p`` as a probability distribution with ``ndim`` axes (any number for None),
+    entries above -1e-9 clipped to 0; else ValueError."""
     p = np.asarray(p, dtype=float)
+    if ndim is not None:
+        _ndim(p, ndim, "p")
     if not (np.all(p >= -1e-9) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("not a probability distribution")
     return np.clip(p, 0.0, None)
@@ -29,7 +33,7 @@ def _checked_distribution(p: Sequence[float]) -> np.ndarray:
 
 def shannon_entropy(p: Sequence[float]) -> float:
     """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0."""
-    p = _checked_distribution(p)
+    p = _checked_distribution(p, ndim=None)
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
 
@@ -67,7 +71,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def classical_mutual_information(pxy: np.ndarray) -> float:
     """I(X:Y) = H(X) + H(Y) - H(XY) for a joint distribution matrix."""
-    pxy = np.asarray(pxy, dtype=float)
+    pxy = _ndim(np.asarray(pxy, dtype=float), 2, "pxy")
     _checked_distribution(pxy.reshape(-1))
     hx = shannon_entropy(pxy.sum(axis=1))
     hy = shannon_entropy(pxy.sum(axis=0))
@@ -76,7 +80,7 @@ def classical_mutual_information(pxy: np.ndarray) -> float:
 
 def classical_pinsker_bound(pxy: np.ndarray) -> float:
     """(1/(2 ln 2)) * (l1 distance from the product of marginals)^2."""
-    pxy = np.asarray(pxy, dtype=float)
+    pxy = _ndim(np.asarray(pxy, dtype=float), 2, "pxy")
     _checked_distribution(pxy.reshape(-1))
     prod = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
     l1 = float(np.sum(np.abs(pxy - prod)))

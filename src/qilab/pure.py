@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
-from .tensor import _amplitude_matrix, _count, _strict_int, _subsystems, tensor
+from .tensor import _amplitude_matrix, _count, _is_scalar, _ndim, _strict_int, _subsystems, tensor
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -40,7 +40,7 @@ class SchmidtDecomposition:
 def schmidt(psi: PureState, cut: Sequence[int] | int) -> SchmidtDecomposition:
     """Schmidt decomposition across the bipartition (cut | rest)."""
     n = len(psi.dims)
-    cut = _subsystems(cut if isinstance(cut, Iterable) else range(_strict_int(cut)), n)
+    cut = _subsystems(range(_strict_int(cut)) if _is_scalar(cut) else cut, n)
     if not cut or len(cut) == n:
         raise ValueError(f"cut {tuple(cut)} is not a proper bipartition of {n} subsystems")
     mat = _amplitude_matrix(psi.amps, psi.dims, cut)
@@ -130,7 +130,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
     log2 binomial weight of its class; divided by n this concentrates at
     the Shannon entropy of the spectrum.
     """
-    p = np.asarray(spectrum, dtype=float)
+    p = _ndim(np.asarray(spectrum, dtype=float), 1, "spectrum")
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
         raise ValueError("spectrum must be a probability distribution")
     n = _count(n, 0, "n")

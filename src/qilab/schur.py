@@ -131,52 +131,51 @@ def _semistandard_indices(shape: tuple[int, ...], d: int) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-@functools.lru_cache(maxsize=8)
-def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Schur-Weyl blocks of (C^d)^{x k} = (+)_lam Q_lam x P_lam.
 
-    Returns (f, q, w), one entry per partition lam of k with at most d rows:
-    f_lam = dim P_lam from the hook-length formula, q_lam = dim Q_lam, and
-    w[lam] (d^k x max q) whose first q_lam columns are an orthonormal basis
-    of one copy of Q_lam, the rest zero.  That copy is the image of the
-    Young symmetrizer of the row-reading tableau (row averages, then signed
-    column averages) applied to the semistandard fillings.  An operator
-    commuting with permutations of the k factors is (+)_lam X_lam x I_{f_lam},
-    with X_lam = w[lam]^T (.) w[lam].  The arrays are cached, so read-only.
+    Returns (f, fills, w), one entry per partition lam of k with at most d rows:
+    f_lam = dim P_lam from the hook-length formula, fills[lam] the indices of the
+    q_lam = dim Q_lam semistandard fillings of lam, and w[lam] (d^k x max q)
+    whose first q_lam columns are an orthonormal basis of one copy of Q_lam,
+    the rest zero.  That copy is the image of the Young symmetrizer of the
+    row-reading tableau (row averages, then signed column averages) applied to
+    the fillings.  An operator commuting with permutations of the k factors is
+    (+)_lam X_lam x I_{f_lam}, with X_lam = w[lam]^T (.) w[lam].  Not cached:
+    ``_affine_maps`` builds it once per (d, k).
     """
     shapes = list(_partitions(k, d))
-    f, blocks = [], []
+    f, fills, blocks = [], [], []
     for shape in shapes:
         cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
         hooks = math.prod(r - c + cols[c] - i - 1
                           for i, r in enumerate(shape) for c in range(r))
         f.append(math.factorial(k) // hooks)
-        fills = _semistandard_indices(shape, d)
-        v = np.zeros((d**k, fills.size))
-        v[fills, np.arange(fills.size)] = 1.0
-        t = v.reshape((d,) * k + (fills.size,))
+        fill = _semistandard_indices(shape, d)
+        fills.append(fill)
+        v = np.zeros((d**k, fill.size))
+        v[fill, np.arange(fill.size)] = 1.0
+        t = v.reshape((d,) * k + (fill.size,))
         start = np.cumsum((0,) + shape[:-1])
         for s, r in zip(start, shape):
             t = _permutation_average(t, [(p,) for p in range(s, s + r)])
         for c in range(shape[0]):
             t = _permutation_average(t, [(s + c,) for s in start[:cols[c]]], -1)
         blocks.append(np.linalg.qr(t.reshape(d**k, -1))[0])
-    q = np.array([b.shape[1] for b in blocks])
-    w = np.zeros((len(shapes), d**k, q.max()))
+    w = np.zeros((len(shapes), d**k, max(b.shape[1] for b in blocks)))
     for l, b in enumerate(blocks):
-        w[l, :, :q[l]] = b
-    f = np.array(f)
-    for a in (f, q, w):
-        a.setflags(write=False)
-    return f, q, w
+        w[l, :, :b.shape[1]] = b
+    return np.array(f), fills, w
 
 
 @functools.lru_cache(maxsize=8)
 def _affine_maps(d: int, k: int):
-    """The A B_1 marginal of the zero-padded (n, d_A q_max, d_A q_max) block stacks of
-    ``_schur_weyl_basis(d, k)`` and its adjoint ``correction``, the blocks of
-    sym(D x I/d^{k-1}), for A B_1 operators kept as the stack D[c d + C] = <c|D|C>
-    of d_A x d_A blocks; both read d_A from their input.  Both are sums over the
+    """The cached plan on the basis ``_schur_weyl_basis(d, k)``, which it builds: the
+    A B_1 marginal of its zero-padded (n, d_A q_max, d_A q_max) block stacks, its
+    adjoint ``correction``, the blocks of sym(D x I/d^{k-1}), for A B_1 operators
+    kept as the stack D[c d + C] = <c|D|C> of d_A x d_A blocks, and ``embed``, the
+    operator (+)_lam X_lam x I_{f_lam} = sum_lam f_lam sym(W_lam X_lam W_lam^T) of
+    a stack; each reads d_A from its input.  The first two are sums over the
     entries G_lam[c, C, s, t] = <w_s| J_cC |w_t> of the gl(d) generators
     J_cC = sum_j E_cC^(j) on each Q_lam:
 
@@ -194,7 +193,7 @@ def _affine_maps(d: int, k: int):
     entries are A^T A.  Weights are keyed by their digits in increasing order,
     read as a base-d number.
     """
-    f, _, w = _schur_weyl_basis(d, k)
+    f, fills, w = _schur_weyl_basis(d, k)
     n, dim, q_max = w.shape
     place = d ** np.arange(k - 1, -1, -1)
     rest = np.arange(d ** (k - 1))
@@ -204,8 +203,8 @@ def _affine_maps(d: int, k: int):
     rows = _group_by(np.sort(rest // place[1:, None] % d, axis=0).T @ place[1:])  # r by weight
     drop = np.array([np.delete(np.arange(k), p) for p in range(k)])
     parts = []
-    for l, shape in enumerate(_partitions(k, d)):
-        fill = np.sort(_semistandard_indices(shape, d)[:, None] // place % d, axis=1)
+    for l, fill in enumerate(fills):
+        fill = np.sort(fill[:, None] // place % d, axis=1)
         first = np.ones(fill.shape, dtype=bool)  # each distinct digit c of a filling once
         first[:, 1:] = fill[:, 1:] != fill[:, :-1]
         s, p = np.nonzero(first)
@@ -244,7 +243,15 @@ def _affine_maps(d: int, k: int):
         z[lam_z, :, s_z, :, t_z] = np.add.reduceat(delta[cc_corr] * g_corr, block_starts, axis=0)
         return z.reshape(n, d_a * q_max, d_a * q_max)
 
-    return marginal, correction
+    def embed(blocks: np.ndarray) -> np.ndarray:
+        d_a = blocks.shape[1] // q_max
+        half = (blocks.reshape(n, -1, q_max) @ w.transpose(0, 2, 1)).reshape(n, d_a, q_max, d_a, dim)
+        full = np.tensordot(w * f[:, None, None], half, axes=([0, 2], [0, 2])).transpose(1, 0, 2, 3)
+        full = _permutation_average(full.reshape(((d_a,) + (d,) * k) * 2),
+                                    [(1 + i, k + 2 + i) for i in range(k)])
+        return full.reshape(d_a * dim, d_a * dim)
+
+    return marginal, correction, embed
 
 
 def _group_by(keys: np.ndarray) -> dict[int, np.ndarray]:
@@ -252,19 +259,6 @@ def _group_by(keys: np.ndarray) -> dict[int, np.ndarray]:
     order = np.argsort(keys, kind="stable")
     uniq, starts = np.unique(keys[order], return_index=True)
     return dict(zip(uniq.tolist(), np.split(order, starts[1:])))
-
-
-def _blocks_to_operator(x: np.ndarray, d_a: int, d: int, k: int) -> np.ndarray:
-    """(+)_lam X_lam x I_{f_lam} = sum_lam f_lam sym(W_lam X_lam W_lam^T) on
-    C^{d_a} x (C^d)^{x k}, from the zero-padded (n, d_a q_max, d_a q_max)
-    stack of blocks X_lam in the basis of ``_schur_weyl_basis(d, k)``."""
-    f, _, w = _schur_weyl_basis(d, k)
-    n, dim, q_max = w.shape
-    half = (x.reshape(n, -1, q_max) @ w.transpose(0, 2, 1)).reshape(n, d_a, q_max, d_a, dim)
-    full = np.tensordot(w * f[:, None, None], half, axes=([0, 2], [0, 2])).transpose(1, 0, 2, 3)
-    full = _permutation_average(full.reshape(((d_a,) + (d,) * k) * 2),
-                                [(1 + i, k + 2 + i) for i in range(k)])
-    return full.reshape(d_a * dim, d_a * dim)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .entropy import _iter_types
-from .schur import _affine_maps, _blocks_to_operator
+from .schur import _affine_maps
 from .states import DensityMatrix, PureState, phi_plus, random_pure_state
 from .tensor import (
     _as_matrix,
@@ -20,6 +20,7 @@ from .tensor import (
     _count,
     _finite,
     _hermitian,
+    _is_scalar,
     _strict_int,
     hermitian_eig,
     partial_transpose,
@@ -144,11 +145,6 @@ def _extension_dims(rho: DensityMatrix, k: int) -> tuple[int, int, int]:
     return d_a, d_b, k
 
 
-def _real_view(a: np.ndarray) -> np.ndarray:
-    """The entries of ``a`` as one real vector, a complex entry as two."""
-    return a.reshape(-1).view(np.float64)
-
-
 def k_extendibility(rho: DensityMatrix, k: int,
                     max_iterations: int = 5000) -> FeasibilityReport:
     """Search for a permutation-invariant k-extension of a bipartite state.
@@ -177,8 +173,8 @@ def k_extendibility(rho: DensityMatrix, k: int,
     Until then E is extrapolated by Anderson acceleration over the last MEMORY
     differences of (E + D, L^{1/2} D), safeguarded: an extrapolated E whose
     residual does not fall below the last accepted one is dropped for the
-    plain E + D and the memory cleared; that pass counts as an iteration, so
-    iterations and eigh calls are equal.
+    plain E + D, the memory's last entry, and the memory cleared; that pass
+    counts as an iteration, so iterations and eigh calls are equal.
 
     Three ends, and what ``residual`` then means:
     - a residual |y - x| <= 1e-7 (tested first) yields Feasible with the
@@ -191,22 +187,23 @@ def k_extendibility(rho: DensityMatrix, k: int,
     """
     d_a, d_b, k = _extension_dims(rho, k)
     max_iterations = _count(max_iterations, 1, "max_iterations")
-    marginal, correction = _affine_maps(d_b, k)
+    marginal, correction, embed = _affine_maps(d_b, k)
     rho_cc = _to_cc(rho.mat if rho.mat.imag.any() else rho.mat.real, d_a, d_b)
     scale = d_b ** (1.0 - k)
     e = _marginal_power(rho_cc, k, -1)  # z = P_affine(correction(rho)), p = 0
-    ts: list[np.ndarray] = []  # Anderson memory: E + D and L^{1/2} D of accepted iterates
+    # Anderson memory of accepted iterates: E + D, whose last entry is the plain step
+    # while e is extrapolated, and L^{1/2} D as one real vector, a complex entry as two
+    ts: list[np.ndarray] = []
     gs: list[np.ndarray] = []
-    plain = None  # E + D of the last accepted iterate while e is extrapolated
     accepted = math.inf
     for it in range(1, max_iterations + 1):
         y = _project_psd_blocks(correction(e))
         d = _marginal_power(rho_cc - marginal(y), k, -1)
         g = _marginal_power(d, k, 0.5)
         residual = math.sqrt(scale * np.vdot(g, g).real)  # full-space |y - x|
-        if plain is not None and residual > (1 - 1e-12) * accepted:
+        if len(ts) > 1 and residual > (1 - 1e-12) * accepted:  # e was extrapolated
             # safeguard: back to the plain step, memory cleared; the pass still counts
-            e, plain, residual = plain, None, accepted
+            e, residual = ts[-1], accepted
             ts.clear()
             gs.clear()
             continue
@@ -214,7 +211,7 @@ def k_extendibility(rho: DensityMatrix, k: int,
         if residual <= 1e-7:
             # x = y + step is affine by construction, and as |step_lam|_2 <= residual/sqrt(f_lam)
             # Weyl gives lam_min(x_lam) >= -residual - O(eps|y|): no eigenvalue check is needed
-            x = _blocks_to_operator(y + correction(d), d_a, d_b, k)
+            x = embed(y + correction(d))
             return FeasibilityReport(FeasStatus.FEASIBLE, residual, it, x.astype(complex))
         if it == 1 or it % WITNESS_EVERY == 0 or it == max_iterations:
             mu = max(0.0, float(np.linalg.eigvalsh(correction(d)).max()))
@@ -227,17 +224,16 @@ def k_extendibility(rho: DensityMatrix, k: int,
                 witness = mu * np.eye(d_a * d_b) - scale * d.reshape(d_a * d_b, d_a * d_b)
                 return FeasibilityReport(FeasStatus.INFEASIBLE_EVIDENCE, gap / norm_u, it, None,
                                          witness.astype(complex))
-        t = e + d  # the plain step
-        e, plain = t, None
-        ts.append(t)
-        gs.append(g)
+        e = e + d  # the plain step
+        ts.append(e)
+        gs.append(g.reshape(-1).view(np.float64))
         del ts[:-MEMORY - 1], gs[:-MEMORY - 1]
         if len(ts) > 1:
-            dg = np.diff([_real_view(x) for x in gs], axis=0)
+            dg = np.diff(gs, axis=0)
             # rcond drops directions at round-off level, where differences are collinear
-            gamma = np.linalg.lstsq(dg.T, _real_view(g), rcond=1e-10)[0]
+            gamma = np.linalg.lstsq(dg.T, gs[-1], rcond=1e-10)[0]
             dt = np.diff(ts, axis=0)
-            e, plain = t - (gamma @ dt.reshape(len(dt), -1)).reshape(t.shape), t
+            e = e - (gamma @ dt.reshape(len(dt), -1)).reshape(e.shape)
     return FeasibilityReport(FeasStatus.UNDETERMINED, residual, it, None)
 
 
@@ -249,7 +245,7 @@ def check_extendibility_witness(w: np.ndarray, rho: DensityMatrix, k: int) -> bo
     checked block by block."""
     d_a, d_b, k = _extension_dims(rho, k)
     w = _hermitian(_operator_on(w, rho), "witness")
-    _, correction = _affine_maps(d_b, k)
+    correction = _affine_maps(d_b, k)[1]
     lift = d_b ** (k - 1) * correction(_to_cc(w, d_a, d_b))
     return bool(np.linalg.eigvalsh(lift).min() >= -WITNESS_TOL
                 and witness_value(w, rho) < -WITNESS_TOL)
@@ -448,7 +444,7 @@ def motzkin_straus(n: int, edges: Sequence[tuple[int, int]]) -> MotzkinStrausRep
         raise ValueError("vertex count must be in 1..20")
     eset = set()
     for edge in edges:
-        pair = tuple(edge) if isinstance(edge, Iterable) else ()
+        pair = () if _is_scalar(edge) else tuple(edge)
         if len(pair) != 2:
             raise ValueError(f"edge {edge!r} is not a pair of vertices")
         i, j = map(_strict_int, pair)  # the subsystem-index rule

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +13,8 @@ from .tensor import (
     _checked_dim,
     _count,
     _hermitian,
+    _is_scalar,
+    _ndim,
     _psd_sqrt,
     _strict_int,
     _subsystems,
@@ -156,7 +158,7 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = tuple(_ndim(np.asarray(k, dtype=complex), 2, "Kraus operator") for k in self.kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -407,14 +409,14 @@ def tetrahedron_povm() -> Povm:
 # ---------------------------------------------------------------------------
 
 def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> PureState:
-    dims = tuple(dims) if isinstance(dims, Iterable) else (dims,)
+    dims = (dims,) if _is_scalar(dims) else tuple(dims)
     d = _checked_dim(math.prod(_strict_int(x) for x in dims), state=True)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v), dims)
 
 
 def random_density_matrix(dims: Sequence[int] | int, rng: np.random.Generator) -> DensityMatrix:
-    dims = tuple(dims) if isinstance(dims, Iterable) else (dims,)
+    dims = (dims,) if _is_scalar(dims) else tuple(dims)
     d = _checked_dim(math.prod(_strict_int(x) for x in dims))
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T

@@ -24,12 +24,19 @@ def _as_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _is_scalar(x) -> bool:
+    """Whether ``x`` is a single value rather than a collection: a 0-d array is one."""
+    return not isinstance(x, Iterable) or getattr(x, "ndim", None) == 0
+
+
 def _strict_int(x) -> int:
-    """``x`` as an int if it is an int or an integral float (not a bool), else ValueError."""
-    if isinstance(x, (bool, np.bool_)) or not (isinstance(x, (int, np.integer)) or (
-            isinstance(x, (float, np.floating)) and float(x).is_integer())):
+    """``x`` as an int if it is an int or an integral float (not a bool), or a 0-d array
+    holding one, else ValueError."""
+    v = x[()] if getattr(x, "ndim", None) == 0 else x
+    if isinstance(v, (bool, np.bool_)) or not (isinstance(v, (int, np.integer)) or (
+            isinstance(v, (float, np.floating)) and float(v).is_integer())):
         raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
+    return int(v)
 
 
 def _count(x, least: int, name: str) -> int:
@@ -61,12 +68,19 @@ def _checked_dim(d: int, n: int = 1, *, state: bool = False) -> int:
 def _subsystems(indices: Iterable[int] | int, n: int) -> list[int]:
     """The distinct subsystem indices in ascending order, each read by ``_strict_int``,
     a single index standing for itself; IndexError unless all lie in 0..n-1."""
-    if not isinstance(indices, Iterable):
+    if _is_scalar(indices):
         indices = [indices]
     idx = sorted({_strict_int(k) for k in indices})
     if any(k < 0 or k >= n for k in idx):
         raise IndexError(f"subsystem indices {idx} out of range for {n} subsystems")
     return idx
+
+
+def _ndim(a: np.ndarray, ndim: int, name: str) -> np.ndarray:
+    """``a`` if it has ``ndim`` axes, else ValueError naming it."""
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    return a
 
 
 def _finite(m: np.ndarray) -> np.ndarray:

@@ -40,6 +40,10 @@ REFUSALS = {
     "Povm(non-PSD)": (lambda: q.Povm((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0]))), "not PSD"),
     "KrausChannel(empty)": (lambda: q.KrausChannel(()), "at least one Kraus operator"),
     "KrausChannel(mixed shapes)": (lambda: q.KrausChannel((np.eye(2), np.eye(3))), "share one shape"),
+    "KrausChannel(vector)": (lambda: q.KrausChannel([np.ones(2)]),
+                             r"^Kraus operator must be 2-dimensional, got shape \(2,\)$"),
+    "KrausChannel(3-d operator)": (lambda: q.KrausChannel([np.ones((2, 2, 2))]),
+                                   r"^Kraus operator must be 2-dimensional, got shape \(2, 2, 2\)$"),
     "from_ensemble(count mismatch)": (lambda: q.from_ensemble([0.5, 0.5], [q.phi_plus()]),
                                       "count mismatch"),
     "from_ensemble(mixed spaces)": (lambda: q.from_ensemble([0.5, 0.5], [q.phi_plus(), q.ghz_state()]),
@@ -58,6 +62,18 @@ REFUSALS = {
     # entropy
     "binary_entropy(1.5)": (lambda: q.binary_entropy(1.5), r"outside \[0, 1\]"),
     "binary_relative_entropy(1.5, 0.5)": (lambda: q.binary_relative_entropy(1.5, 0.5), r"in \[0, 1\]"),
+    "classical_mutual_information(vector)": (lambda: q.classical_mutual_information([0.5, 0.5]),
+                                             r"^pxy must be 2-dimensional, got shape \(2,\)$"),
+    "classical_mutual_information(3-d)": (lambda: q.classical_mutual_information(np.ones((2, 2, 2)) / 8),
+                                          r"^pxy must be 2-dimensional, got shape \(2, 2, 2\)$"),
+    "classical_pinsker_bound(vector)": (lambda: q.classical_pinsker_bound([0.5, 0.5]),
+                                        r"^pxy must be 2-dimensional, got shape \(2,\)$"),
+    "typical_set(matrix p)": (lambda: q.typical_set([[0.5, 0.5]], 4, 0.1),
+                              r"^p must be 1-dimensional, got shape \(1, 2\)$"),
+    "typical_mass_lower_bound(matrix p)": (lambda: q.typical_mass_lower_bound([[0.5, 0.5]], 4, 0.1),
+                                           r"^p must be 1-dimensional, got shape \(1, 2\)$"),
+    "compression_trial(matrix p)": (lambda: q.compression_trial([[0.5, 0.5]], 4, 0.5, 3),
+                                    r"^p must be 1-dimensional, got shape \(1, 2\)$"),
     "information_measures(one party)": (
         lambda: q.information_measures(q.ghz_state().density(), [[0, 1, 2]]), "two or three parties"),
     "information_measures(overlapping parties)": (
@@ -71,6 +87,8 @@ REFUSALS = {
                                  "^n must be a positive integer, got 0$"),
     "dilution_rank_bound(delta<0)": (lambda: q.dilution_rank_bound(q.phi_plus(), [0], 10, -0.1),
                                      "delta >= 0"),
+    "distillation_yield(matrix spectrum)": (lambda: q.distillation_yield([[0.5, 0.5]], 4),
+                                            r"^spectrum must be 1-dimensional, got shape \(1, 2\)$"),
     "slocc_apply(two operators, three qubits)": (lambda: q.slocc_apply([np.eye(2)] * 2, q.ghz_state()),
                                                  "one operator per subsystem"),
     "w_polytope_check(two values)": (lambda: q.w_polytope_check([1.0, 1.0]), "three largest eigenvalues"),
@@ -121,6 +139,9 @@ REFUSALS = {
     "motzkin_straus(edge (0,))": (lambda: q.motzkin_straus(3, [(0,)]),
                                   r"^edge \(0,\) is not a pair of vertices$"),
     "motzkin_straus(edge 5)": (lambda: q.motzkin_straus(3, [5]), "^edge 5 is not a pair of vertices$"),
+    "motzkin_straus(edge 0-d array)": (lambda: q.motzkin_straus(3, [np.array(5)]),
+                                       r"^edge array\(5\) is not a pair of vertices$"),
+    "motzkin_straus(21 vertices)": (lambda: q.motzkin_straus(21, []), r"^vertex count must be in 1\.\.20$"),
     "depolarizing_channel(d=0)": (lambda: q.depolarizing_channel(0.5, 0), "positive integer"),
     "phi_plus(-1)": (lambda: q.phi_plus(-1), "positive integer"),
     "maximally_mixed(0)": (lambda: q.maximally_mixed(0), "positive integer"),
@@ -315,6 +336,24 @@ def test_count_is_read_by_one_rule(name):
 def test_motzkin_straus_reads_an_integral_float_endpoint():
     # edge endpoints follow the subsystem-index rule: 1.0 is the vertex 1
     assert same(q.motzkin_straus(3, [(0, 1.0)]), q.motzkin_straus(3, [(0, 1)]))
+
+
+# a single value given as a 0-d array: (call on the value x, the value)
+ZERO_D = {
+    "partial_trace(keep)": (lambda x: q.partial_trace(np.eye(4) / 4, (2, 2), x), 0),
+    "ppt_check(transpose_on)": (lambda x: q.ppt_check(q.noisy_epr(0.5), x), 0),
+    "eigen_witness(transpose_on)": (lambda x: q.eigen_witness(q.phi_plus().density(), x), 1),
+    "random_pure_state(dims)": (lambda x: q.random_pure_state(x, np.random.default_rng(0)), 4),
+    "random_density_matrix(dims)": (lambda x: q.random_density_matrix(x, np.random.default_rng(0)), 4),
+    "schmidt(cut)": (lambda x: q.schmidt(q.ghz_state(), x), 1),
+    "chsh_optimize(starts)": (lambda x: q.chsh_optimize(x), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_D))
+def test_zero_d_array_reads_as_its_scalar(name):
+    call, value = ZERO_D[name]
+    assert same(call(np.array(value)), call(value))
 
 
 def test_kraus_channel_output_dimension():

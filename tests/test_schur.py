@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qilab as q
-from qilab.schur import _blocks_to_operator, _partitions, _schur_weyl_basis, _semistandard_indices
+from qilab.schur import _affine_maps, _partitions, _schur_weyl_basis, _semistandard_indices
 from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
 from qilab.tensor import permutation_operator, swap_operator, tensor
 from tests_helpers_schur import (
@@ -325,7 +325,8 @@ BASIS_SHAPES = [(d, k) for d in range(2, 9) for k in range(1, 12) if d**k <= 204
 
 @pytest.mark.parametrize("d,k", BASIS_SHAPES)
 def test_schur_weyl_basis_splits_the_tensor_power(d, k):
-    f, q_dims, w = _schur_weyl_basis(d, k)
+    f, fills, w = _schur_weyl_basis(d, k)
+    q_dims = np.array([fill.size for fill in fills])
     if d >= k:  # every partition of k appears: sum_lam f_lam^2 = |S_k|
         assert int(np.sum(f * f)) == math.factorial(k)
     assert int(np.sum(f * q_dims)) == d**k
@@ -357,7 +358,7 @@ def test_schur_weyl_blocks_reassemble_invariant_operators(shape, seed):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     x = symmetrize_b((g + g.conj().T) / (2 * dim), d_a, d, k)
     blocks = to_schur_weyl_blocks(x, d_a, d, k)
-    assert np.max(np.abs(_blocks_to_operator(blocks, d_a, d, k) - x)) <= 1e-12
+    assert np.max(np.abs(_affine_maps(d, k)[2](blocks) - x)) <= 1e-12
     f = _schur_weyl_basis(d, k)[0]
     weighted = float(f @ np.sum(np.abs(blocks) ** 2, axis=(1, 2)))
     assert weighted == pytest.approx(float(np.sum(np.abs(x) ** 2)), rel=1e-12)

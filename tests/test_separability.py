@@ -9,7 +9,7 @@ import pytest
 
 import qilab as q
 from cli_golden import perfbench_workloads
-from qilab.schur import _affine_maps, _blocks_to_operator, _schur_weyl_basis
+from qilab.schur import _affine_maps, _schur_weyl_basis
 from qilab.separability import (
     MEMORY,
     WITNESS_EVERY,
@@ -179,7 +179,7 @@ def test_k_extendibility_without_a_positive_bound_is_undetermined():
 
 def lift_min_eigenvalue(w, d_a, d_b, k):
     """lam_min of sym(w x I_{B2..Bk}), from its Schur-Weyl blocks."""
-    _, correction = _affine_maps(d_b, k)
+    correction = _affine_maps(d_b, k)[1]
     return float(np.linalg.eigvalsh(d_b ** (k - 1) * correction(to_cc(w, d_a, d_b))).min())
 
 
@@ -232,7 +232,7 @@ def test_unshifted_witness_fails():
     rho = q.phi_plus().density()
     rep = q.k_extendibility(rho, 2, max_iterations=1)
     assert rep.status is FeasStatus.INFEASIBLE_EVIDENCE
-    marginal, correction = _affine_maps(2, 2)
+    marginal, correction, _ = _affine_maps(2, 2)
     rho_cc = to_cc(rho.mat, 2, 2)
     y = _project_psd_blocks(correction(_marginal_power(rho_cc, 2, -1)))
     d = from_cc(_marginal_power(rho_cc - marginal(y), 2, -1), 2, 2) / 2
@@ -432,7 +432,7 @@ def test_block_psd_step_matches_full_eigh_projection(d_a, d_b, k):
         y = _project_psd_blocks(to_schur_weyl_blocks(x, d_a, d_b, k))
         vals, vecs = np.linalg.eigh(x)
         full = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-        assert np.max(np.abs(_blocks_to_operator(y, d_a, d_b, k) - full)) <= 1e-12
+        assert np.max(np.abs(_affine_maps(d_b, k)[2](y) - full)) <= 1e-12
 
 
 # tracemalloc peaks of the full-space loop with max_iterations=2, in MB
@@ -443,7 +443,6 @@ def cold_cache_peak(d_a, d_b, k):
     """tracemalloc peak of a two-iteration k_extendibility with every cache cleared."""
     rho = q.random_density_matrix(d_a * d_b, np.random.default_rng(0))
     rho = q.DensityMatrix(rho.mat, (d_a, d_b))
-    _schur_weyl_basis.cache_clear()
     _affine_maps.cache_clear()
     tracemalloc.start()
     try:
@@ -470,7 +469,8 @@ AFFINE_CELLS = [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 3), (1, 4, 3), (2, 2, 5)
 
 def padding_mask(d_a, d_b, k):
     """True on the padding of a block stack, whose rows and columns are (a, s), padded in s."""
-    _, q_dims, w = _schur_weyl_basis(d_b, k)
+    _, fills, w = _schur_weyl_basis(d_b, k)
+    q_dims = np.array([fill.size for fill in fills])
     keep = np.arange(d_a * w.shape[2]) % w.shape[2] < q_dims[:, None]
     return ~(keep[:, :, None] & keep[:, None, :])
 
@@ -486,7 +486,7 @@ def random_blocks(d_a, d_b, k, rng):
 @pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS)
 def test_generator_maps_match_the_basis_contractions(d_a, d_b, k):
     rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)
-    marginal, correction = _affine_maps(d_b, k)
+    marginal, correction, _ = _affine_maps(d_b, k)
     for _ in range(2):
         x = random_blocks(d_a, d_b, k, rng)
         want = u_marginal(x, d_a, d_b, k)
@@ -498,7 +498,7 @@ def test_generator_maps_match_the_basis_contractions(d_a, d_b, k):
 
 @pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS)
 def test_marginal_of_correction_is_inverted_by_marginal_inverse(d_a, d_b, k):
-    marginal, correction = _affine_maps(d_b, k)
+    marginal, correction, _ = _affine_maps(d_b, k)
     for _ in range(3):
         delta = to_cc(random_operator(d_a * d_b), d_a, d_b)
         assert np.max(np.abs(_marginal_power(marginal(correction(delta)), k, -1) - delta)) <= 1e-12
@@ -507,20 +507,21 @@ def test_marginal_of_correction_is_inverted_by_marginal_inverse(d_a, d_b, k):
 @pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS + [(2, 4, 4)])
 def test_padding_is_never_read(d_a, d_b, k):
     rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)
-    marginal, correction = _affine_maps(d_b, k)
+    marginal, correction, embed = _affine_maps(d_b, k)
     pad = padding_mask(d_a, d_b, k)
     x = random_blocks(d_a, d_b, k, rng)
     garbage = np.where(pad, 1e3 * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)), x)
     assert np.array_equal(marginal(garbage), marginal(x))
-    assert np.array_equal(_blocks_to_operator(garbage, d_a, d_b, k), _blocks_to_operator(x, d_a, d_b, k))
+    assert np.array_equal(embed(garbage), embed(x))
     z = correction(to_cc(random_operator(d_a * d_b), d_a, d_b))
     assert not np.any(z[pad])
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 5), (3, 3), (4, 3), (3, 4)])
 def test_generators_satisfy_the_gl_commutation_relations(d, k):
-    _, q_dims, _ = _schur_weyl_basis(d, k)
-    _, correction = _affine_maps(d, k)
+    _, fills, _ = _schur_weyl_basis(d, k)
+    q_dims = [fill.size for fill in fills]
+    correction = _affine_maps(d, k)[1]
     # G_lam[c, C] = k d^{k-1} correction(E_cC) at d_A = 1, E_cC kept as in to_cc
     e = np.array([k * d ** (k - 1) * correction(e_cc.reshape(d * d, 1, 1)) for e_cc in np.eye(d * d)])
     e = e.reshape((d, d) + e.shape[1:])
