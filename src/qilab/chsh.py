@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import PAULI_X, PAULI_Z, PureState, phi_plus
-from .tensor import _count, _hermitian, tensor
+from .tensor import INPUT_TOL, _count, _hermitian, tensor
 
 CLASSICAL_OPTIMUM = 0.75
 QUANTUM_OPTIMUM = math.cos(math.pi / 8) ** 2  # 1/2 + 1/(2 sqrt 2)
@@ -102,7 +102,7 @@ def bell_operator(a0: np.ndarray, a1: np.ndarray,
     for o in (a0, a1, b0, b1):
         o = _hermitian(o, "observable")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing O^2 fails the test
-            if not np.max(np.abs(o @ o - np.eye(o.shape[0]))) <= 1e-9:
+            if not np.max(np.abs(o @ o - np.eye(o.shape[0]))) <= INPUT_TOL:
                 raise ValueError("observables must be finite and square to the identity")
     return (tensor(a0, b0) + tensor(a0, b1) + tensor(a1, b0) - tensor(a1, b1))
 

@@ -12,7 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import _checked_dim, _count, _ndim, basis_digits, hermitian_eig, trace_norm
+from .tensor import (_checked_dim, _checked_distribution, _count, _ndim, _subsystems, basis_digits,
+                     hermitian_eig, trace_norm)
 
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
@@ -20,20 +21,9 @@ MC_BATCH = 4096  # rows per multinomial draw in typical_set: bounded memory, the
 TYPE_CLASS_CAP = 2**15  # compression_trial keeps n log2(d)-bit sizes per class: 260 MB at n = 2^15 - 1
 
 
-def _checked_distribution(p: Sequence[float], ndim: int | None = 1) -> np.ndarray:
-    """``p`` as a probability distribution with ``ndim`` axes (any number for None),
-    entries above -1e-9 clipped to 0; else ValueError."""
-    p = np.asarray(p, dtype=float)
-    if ndim is not None:
-        _ndim(p, ndim, "p")
-    if not (np.all(p >= -1e-9) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
-        raise ValueError("not a probability distribution")
-    return np.clip(p, 0.0, None)
-
-
 def shannon_entropy(p: Sequence[float]) -> float:
     """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0."""
-    p = _checked_distribution(p, ndim=None)
+    p = _checked_distribution(p, "p", ndim=None)
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
 
@@ -72,7 +62,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def classical_mutual_information(pxy: np.ndarray) -> float:
     """I(X:Y) = H(X) + H(Y) - H(XY) for a joint distribution matrix."""
     pxy = _ndim(np.asarray(pxy, dtype=float), 2, "pxy")
-    _checked_distribution(pxy.reshape(-1))
+    _checked_distribution(pxy.reshape(-1), "pxy")
     hx = shannon_entropy(pxy.sum(axis=1))
     hy = shannon_entropy(pxy.sum(axis=0))
     return hx + hy - shannon_entropy(pxy.reshape(-1))
@@ -81,7 +71,7 @@ def classical_mutual_information(pxy: np.ndarray) -> float:
 def classical_pinsker_bound(pxy: np.ndarray) -> float:
     """(1/(2 ln 2)) * (l1 distance from the product of marginals)^2."""
     pxy = _ndim(np.asarray(pxy, dtype=float), 2, "pxy")
-    _checked_distribution(pxy.reshape(-1))
+    _checked_distribution(pxy.reshape(-1), "pxy")
     prod = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
     l1 = float(np.sum(np.abs(pxy - prod)))
     return l1 * l1 / (2 * LN2)
@@ -90,11 +80,12 @@ def classical_pinsker_bound(pxy: np.ndarray) -> float:
 def information_measures(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -> dict[str, float]:
     """Entropic quantities for a bi- or tripartite split of the subsystems.
 
-    ``parties`` lists the subsystem indices of A, B (and optionally C).
+    ``parties`` lists the subsystem indices of A, B (and optionally C), each
+    party read as ``partial_trace`` reads ``keep``: one index is that subsystem.
     Returns conditional entropies and mutual informations alongside the
     marginal entropies; conditional quantities may be negative.
     """
-    parts = [tuple(g) for g in parties]
+    parts = [tuple(_subsystems(g, len(rho.dims))) for g in parties]
     if len(parts) not in (2, 3):
         raise ValueError("need two or three parties")
     seen = [i for g in parts for i in g]
@@ -135,8 +126,9 @@ def information_measures(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -
 
 
 def quantum_pinsker_bound(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -> float:
-    """(1/(2 ln 2)) ||rho_AB - rho_A x rho_B||_1^2 for a bipartite split."""
-    a, b = (tuple(g) for g in parties)
+    """(1/(2 ln 2)) ||rho_AB - rho_A x rho_B||_1^2 for a bipartite split, each party
+    read as in ``information_measures``."""
+    a, b = (tuple(_subsystems(g, len(rho.dims))) for g in parties)
     keep = sorted(a + b)
     # order A before B to match the product
     if tuple(keep) != a + b:
@@ -188,7 +180,7 @@ def typical_set(p: Sequence[float], n: int, delta: float,
     enumeration cap the mass and size are exact (over all type classes);
     otherwise the mass is the typical share of ``mc_samples`` draws.
     """
-    p = _checked_distribution(p)
+    p = _checked_distribution(p, "p")
     n, mc_samples = _count(n, 1, "n"), _count(mc_samples, 1, "mc_samples")
     if not delta > 0:  # also rejects NaN
         raise ValueError("need delta > 0")
@@ -232,7 +224,7 @@ def typical_set(p: Sequence[float], n: int, delta: float,
 def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
     """Chebyshev guarantee: mass >= 1 - Var[log2 p(X)] / (n delta^2); its limit where
     n delta^2 underflows to 0: -inf, or 1 at zero variance (every string typical)."""
-    p, n = _checked_distribution(p), _count(n, 1, "n")
+    p, n = _checked_distribution(p, "p"), _count(n, 1, "n")
     if not delta > 0:  # also rejects NaN
         raise ValueError("need delta > 0")
     nz = p[p > 0]
@@ -295,7 +287,7 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
     class); a sampled string succeeds when its rank falls below the capacity
     2^{nR}, decided by exact big-integer comparison.
     """
-    p = _checked_distribution(p)
+    p = _checked_distribution(p, "p")
     d, n, trials = len(p), _count(n, 1, "n"), _count(trials, 1, "trials")
     if not 0 <= rate < math.inf:  # also rejects NaN
         raise ValueError("rate must be finite and nonnegative")

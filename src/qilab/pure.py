@@ -11,7 +11,8 @@ import numpy as np
 
 from .entropy import shannon_entropy
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
-from .tensor import _amplitude_matrix, _count, _is_scalar, _ndim, _strict_int, _subsystems, tensor
+from .tensor import (_amplitude_matrix, _checked_distribution, _count, _is_scalar, _strict_int, _subsystems,
+                     tensor)
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -130,10 +131,7 @@ def distillation_yield(spectrum: Sequence[float], n: int, seed: int = 0) -> floa
     log2 binomial weight of its class; divided by n this concentrates at
     the Shannon entropy of the spectrum.
     """
-    p = _ndim(np.asarray(spectrum, dtype=float), 1, "spectrum")
-    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
-        raise ValueError("spectrum must be a probability distribution")
-    n = _count(n, 0, "n")
+    p, n = _checked_distribution(spectrum, "spectrum"), _count(n, 0, "n")
     rng = np.random.default_rng(seed)
     size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in rng.multinomial(n, p))
     return math.log2(size)
@@ -165,7 +163,7 @@ class SloccClass(enum.Enum):
 
 def slocc_apply(ops: Sequence[np.ndarray], psi: PureState) -> PureState:
     """Apply local invertible operators and renormalize."""
-    if len(ops) != len(psi.dims):
+    if _is_scalar(ops) or len(ops) != len(psi.dims):
         raise ValueError("one operator per subsystem is required")
     big = tensor(*ops)
     v = big @ psi.amps
@@ -230,7 +228,7 @@ def three_qubit_spectra_compatible(lmax: Sequence[float]) -> bool:
     Each lambda must lie in [1/2, 1] and satisfy the three polygon-type
     inequalities lambda_i + lambda_j <= 1 + lambda_k, both within 1e-12.
     """
-    l = [float(x) for x in lmax]
+    l = [] if _is_scalar(lmax) else [float(x) for x in lmax]
     if len(l) != 3 or not all(0.5 - 1e-12 <= x <= 1 + 1e-12 for x in l):  # also rejects NaN
         raise ValueError("largest eigenvalues must lie in [1/2, 1]")
     for k in range(3):
@@ -246,9 +244,9 @@ def three_qubit_state_from_spectra(lmax: Sequence[float]) -> PureState:
     Solves a^2 = (l1 + l2 + l3 - 1)/2, b^2 = l1 - a^2, c^2 = l2 - a^2,
     d^2 = l3 - a^2; raises for incompatible spectra.
     """
-    l1, l2, l3 = (float(x) for x in lmax)
-    if not three_qubit_spectra_compatible((l1, l2, l3)):
+    if not three_qubit_spectra_compatible(lmax):
         raise ValueError("spectra violate a compatibility inequality")
+    l1, l2, l3 = (float(x) for x in lmax)
     a2 = (l1 + l2 + l3 - 1) / 2
     coeffs = [a2, l1 - a2, l2 - a2, l3 - a2]
     coeffs = [max(x, 0.0) for x in coeffs]
@@ -260,7 +258,7 @@ def three_qubit_state_from_spectra(lmax: Sequence[float]) -> PureState:
 
 def w_polytope_check(lmax: Sequence[float]) -> bool:
     """lambda_A + lambda_B + lambda_C >= 2 (within 1e-9) characterizes W-class marginals."""
-    l = [float(x) for x in lmax]
+    l = [] if _is_scalar(lmax) else [float(x) for x in lmax]
     if len(l) != 3 or not all(map(math.isfinite, l)):
         raise ValueError("need three largest eigenvalues, all finite")
     return sum(l) >= 2 - 1e-9

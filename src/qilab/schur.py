@@ -3,7 +3,6 @@ and finite de Finetti bounds."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,7 +271,7 @@ def _j_values(n: int) -> list[float]:
 def spin_multiplicity(n: int, j: float) -> int:
     """m_j^(n) = C(n, n/2 - j) - C(n, n/2 - j - 1), exact integers."""
     n = _count(n, 0, "n")
-    if not math.isfinite(j):
+    if j is None or not math.isfinite(j):
         raise ValueError(f"j must be finite, got {j}")
     two_j = round(2 * j)
     if not 0 <= two_j <= n or (n - two_j) % 2:
@@ -308,26 +307,24 @@ def spin_projectors(n: int) -> list[SpinBlock]:
 
     J^2 = n(4 - n)/4 I + sum_{i<k} SWAP_ik is real and conserves the Hamming
     weight, so it is diagonalized one weight sector (of size C(n, w)) at a
-    time.  An eigenvalue j(j+1) names its block by 2j = sqrt(1 + 4 j(j+1)) - 1,
-    rounded: the j(j+1) lie at least 2 apart, so every eigenvector lands in a
-    block, of dimension (2j + 1) m_j.
+    time.  On the sector of weight w, sum_{i<k} SWAP_ik is 1 between strings
+    that differ in exactly two digits, read off x = s ^ t: it is nonzero, and
+    clearing its lowest bit, y = x & (x - 1), leaves one bit; its diagonal is
+    C(w, 2) + C(n - w, 2), the pairs of equal digits.  An eigenvalue j(j+1)
+    names its block by 2j = sqrt(1 + 4 j(j+1)) - 1, rounded: the j(j+1) lie
+    at least 2 apart, so every eigenvector lands in a block, of dimension
+    (2j + 1) m_j.
     """
     n = _strict_int(n)
     dim = _checked_dim(2, n)
-    digits = basis_digits(2, n)
-    weight = digits.sum(axis=0)
-    place = 2 ** np.arange(n - 1, -1, -1)
-    # swaps[p, x]: the index of basis string x with the digits of pair p exchanged
-    swaps = np.array([np.arange(dim) + (digits[k] - digits[i]) * (place[i] - place[k])
-                      for i, k in itertools.combinations(range(n), 2)],
-                     dtype=np.intp).reshape(-1, dim)
+    weight = basis_digits(2, n).sum(axis=0)
     projs: dict[int, np.ndarray] = {}  # keyed by 2j
     for w in range(n + 1):
         idx = np.flatnonzero(weight == w)
-        size = idx.size
-        # swaps stay inside the sector, so each image has a sector position
-        j2 = np.zeros((size, size))
-        np.add.at(j2, (np.searchsorted(idx, swaps[:, idx]), np.arange(size)), 1.0)
+        x = idx[:, None] ^ idx
+        y = x & (x - 1)
+        j2 = ((x != 0) & (y & (y - 1) == 0)).astype(float)
+        np.fill_diagonal(j2, math.comb(w, 2) + math.comb(n - w, 2))
         vals, vecs = np.linalg.eigh(j2)
         two_j = np.rint(np.sqrt(1 + 4 * (vals + n * (4 - n) / 4)) - 1).astype(int)
         for t in np.unique(two_j).tolist():

@@ -8,13 +8,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
+    INPUT_TOL,
     _amplitude_matrix,
     _check_dims,
     _checked_dim,
+    _checked_distribution,
     _count,
     _hermitian,
     _is_scalar,
     _ndim,
+    _negative_eigenvalue,
     _psd_sqrt,
     _strict_int,
     _subsystems,
@@ -23,8 +26,6 @@ from .tensor import (
     swap_operator,
 )
 
-PSD_TOL = 1e-9
-TRACE_TOL = 1e-9
 ZERO_PROB = 1e-12
 
 I2 = np.eye(2, dtype=complex)
@@ -32,30 +33,10 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 class ZeroProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
-
-
-def _negative_eigenvalue(m: np.ndarray) -> float | None:
-    """The lowest eigenvalue of the exactly Hermitian m if it is below -PSD_TOL, else None.
-
-    A Cholesky factorisation of m + PSD_TOL*I exists exactly when
-    lambda_min(m) > -PSD_TOL, up to round-off of order n*u*||m||, the backward
-    error of eigvalsh too; it costs n^3/3 flops with no tridiagonal reduction.
-    So an accepted m pays one factorisation, and only a failed one runs
-    eigvalsh, which applies the -PSD_TOL rule and supplies the eigenvalue.
-    """
-    shifted = m.copy()
-    shifted.flat[:: m.shape[0] + 1] += PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lo = float(np.min(np.linalg.eigvalsh(m)))
-        return lo if lo < -PSD_TOL else None
-    return None
 
 
 @dataclass(frozen=True)
@@ -101,9 +82,9 @@ class DensityMatrix:
         m = _hermitian(self.mat, "density matrix")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is refused below
             tr = np.trace(m).real
-        if not abs(tr - 1.0) <= TRACE_TOL:
+        if not abs(tr - 1.0) <= INPUT_TOL:
             raise ValueError(f"trace {tr} is not 1 within 1e-9")
-        lo = _negative_eigenvalue(m)
+        lo = _negative_eigenvalue(m, INPUT_TOL)
         if lo is not None:
             raise ValueError(f"matrix has negative eigenvalue {lo}")
         object.__setattr__(self, "mat", m)
@@ -128,6 +109,8 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if _is_scalar(self.elements):
+            raise ValueError(f"POVM elements must be a collection of matrices, got {self.elements!r}")
         els = tuple(np.asarray(e, dtype=complex) for e in self.elements)
         if not els:
             raise ValueError("POVM needs at least one element")
@@ -135,11 +118,11 @@ class Povm:
         for e in els:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share one square shape")
-            if _negative_eigenvalue(_hermitian(e, "POVM element")) is not None:
+            if _negative_eigenvalue(_hermitian(e, "POVM element"), INPUT_TOL) is not None:
                 raise ValueError("POVM element not PSD within 1e-9")
         with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
             total = sum(els)
-        if not np.max(np.abs(total - np.eye(d))) <= PSD_TOL:
+        if not np.max(np.abs(total - np.eye(d))) <= INPUT_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-9")
         object.__setattr__(self, "elements", els)
 
@@ -158,6 +141,8 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if _is_scalar(self.kraus):
+            raise ValueError(f"Kraus operators must be a collection of matrices, got {self.kraus!r}")
         ops = tuple(_ndim(np.asarray(k, dtype=complex), 2, "Kraus operator") for k in self.kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
@@ -169,7 +154,7 @@ class KrausChannel:
             # NaN, inf or huge entries give a NaN or inf sum, which the check rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 acc += k.conj().T @ k
-        if not np.max(np.abs(acc - np.eye(shape[1]))) <= PSD_TOL:  # also rejects NaN
+        if not np.max(np.abs(acc - np.eye(shape[1]))) <= INPUT_TOL:  # also rejects NaN
             raise ValueError("sum of K^dag K is not identity within 1e-9")
         object.__setattr__(self, "kraus", ops)
 
@@ -184,11 +169,9 @@ class KrausChannel:
 
 def from_ensemble(probs: Sequence[float], states: Sequence[PureState | DensityMatrix]) -> DensityMatrix:
     """Mix an ensemble {p_i, rho_i} into a single density matrix."""
-    p = np.asarray(probs, dtype=float)
+    p = _checked_distribution(probs, "probs")
     if len(p) != len(states):
         raise ValueError("probability/state count mismatch")
-    if not (np.all(p >= -ZERO_PROB) and abs(p.sum() - 1.0) <= 1e-9):  # also rejects NaN, inf
-        raise ValueError("probabilities must be nonnegative and sum to 1")
     dims = states[0].dims
     acc = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
     for pi, s in zip(p, states):
@@ -201,6 +184,8 @@ def from_ensemble(probs: Sequence[float], states: Sequence[PureState | DensityMa
 
 def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
     """Outcome distribution tr(Q_i rho); clips round-off and renormalizes."""
+    if not isinstance(povm, Povm):
+        raise ValueError(f"povm must be a Povm, got {povm!r}")
     if povm.dim != rho.dim:
         raise ValueError("POVM / state dimension mismatch")
     p = np.array([np.trace(q @ rho.mat).real for q in povm.elements])
@@ -212,7 +197,7 @@ def post_measurement(rho: DensityMatrix, projector: np.ndarray) -> tuple[float, 
     """Project and renormalize: (p, P rho P / p) for a projector P."""
     p_op = _hermitian(projector, "projector")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing P^2 fails the test
-        if not np.max(np.abs(p_op @ p_op - p_op)) <= 1e-9:
+        if not np.max(np.abs(p_op @ p_op - p_op)) <= INPUT_TOL:
             raise ValueError("projector must satisfy P^2 = P = P^dag within 1e-9")
     prob = float(np.trace(p_op @ rho.mat).real)
     if prob < ZERO_PROB:

@@ -14,7 +14,8 @@ import numpy as np
 #: Largest operator (rows) the library materializes.
 SIZE_CAP = 4096
 
-HERMITICITY_TOL = 1e-9
+#: The one slack of every input check: Hermiticity, PSD, traces, sums, probabilities.
+INPUT_TOL = 1e-9
 
 
 def _as_matrix(m: np.ndarray) -> np.ndarray:
@@ -94,6 +95,8 @@ def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     """Positive subsystem dimensions multiplying to ``size``; None is one system."""
     if dims is None:
         return (size,)
+    if _is_scalar(dims):
+        raise ValueError(f"dims must be a sequence of subsystem dimensions, got {dims!r}")
     dims = tuple(_count(d, 1, "subsystem dimension") for d in dims)
     total = math.prod(dims)
     if size != total:
@@ -154,7 +157,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystems: Iterable[i
 
 def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     """The Hermitian part (m + m^dag)/2 of the square operator ``m``; ValueError naming
-    ``what`` if the defect max|m - m^dag| exceeds HERMITICITY_TOL or the part is not finite
+    ``what`` if the defect max|m - m^dag| exceeds INPUT_TOL or the part is not finite
     (NaN, inf and overflow, ignored while both are computed, each fail one of the two)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -163,11 +166,44 @@ def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.max(np.abs(m - adj), initial=0.0)
         h = (m + adj) / 2
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
+    if not defect <= INPUT_TOL:
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {INPUT_TOL:.1e})")
     if not np.isfinite(h).all():
         raise ValueError(f"{what} has entries too large: its Hermitian part overflows")
     return h
+
+
+def _negative_eigenvalue(m: np.ndarray, tol: float) -> float | None:
+    """The lowest eigenvalue of the exactly Hermitian matrix, or stack of them, ``m``
+    if it is below -tol, else None.
+
+    A Cholesky factorisation of m + tol*I exists exactly when lambda_min(m) > -tol,
+    up to round-off of order n*u*||m||, the backward error of eigvalsh too; it
+    costs n^3/3 flops with no tridiagonal reduction.  So an accepted m pays one
+    factorisation, and only a failed one runs eigvalsh, which applies the -tol
+    rule and supplies the eigenvalue.  Zero padding of a stack, shifted to tol*I,
+    never fails.
+    """
+    diag = np.arange(m.shape[-1])
+    shifted = m.copy()
+    shifted[..., diag, diag] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.min(np.linalg.eigvalsh(m)))
+        return lo if lo < -tol else None
+    return None
+
+
+def _checked_distribution(p: Sequence[float], name: str, ndim: int | None = 1) -> np.ndarray:
+    """``p`` as a probability distribution with ``ndim`` axes (any number for None),
+    entries above -INPUT_TOL clipped to 0; else ValueError naming it."""
+    p = np.asarray(p, dtype=float)
+    if ndim is not None:
+        _ndim(p, ndim, name)
+    if not (np.all(p >= -INPUT_TOL) and abs(p.sum() - 1.0) <= INPUT_TOL):  # also rejects NaN, inf
+        raise ValueError(f"{name} is not a probability distribution")
+    return np.clip(p, 0.0, None)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -192,7 +228,7 @@ class EigDecomposition:
 def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
-    Rejects a Hermiticity defect above HERMITICITY_TOL = 1e-9; below that
+    Rejects a Hermiticity defect above INPUT_TOL = 1e-9; below that
     the input is symmetrized before factorization, so the returned
     eigenvalues are exactly real.
     """
@@ -236,6 +272,8 @@ def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
     P|i_1 ... i_n> = |j_1 ... j_n> with j_{perm[k]} = i_k.  Composition
     satisfies P(pi) @ P(sigma) = P(pi o sigma).
     """
+    if _is_scalar(perm):
+        raise ValueError(f"perm must be a sequence of images, got {perm!r}")
     perm = [_strict_int(p) for p in perm]
     n = len(perm)
     if sorted(perm) != list(range(n)):

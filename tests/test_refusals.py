@@ -220,6 +220,36 @@ REFUSALS = {
                                           "delta > 0"),
     "typical_mass_lower_bound(delta NaN)": (lambda: q.typical_mass_lower_bound([0.3, 0.7], 4, math.nan),
                                             "delta > 0"),
+    # a single value where a collection is read
+    "DensityMatrix(dims 4)": (lambda: q.DensityMatrix(np.eye(4) / 4, 4),
+                              "^dims must be a sequence of subsystem dimensions, got 4$"),
+    "PureState(dims 2)": (lambda: q.PureState(np.array([1, 0]), 2),
+                          "^dims must be a sequence of subsystem dimensions, got 2$"),
+    "partial_trace(dims 4)": (lambda: q.partial_trace(np.eye(4) / 4, 4, [0]),
+                              "^dims must be a sequence of subsystem dimensions, got 4$"),
+    "h_n_ext(dims 4)": (lambda: q.h_n_ext(np.eye(4), 4, 2),
+                        "^dims must be a sequence of subsystem dimensions, got 4$"),
+    "h_sep_sampled(dims 4)": (lambda: q.h_sep_sampled(np.eye(4), 4),
+                              "^dims must be a sequence of subsystem dimensions, got 4$"),
+    "permutation_operator(2, 3)": (lambda: q.permutation_operator(2, 3),
+                                   "^perm must be a sequence of images, got 3$"),
+    "motzkin_straus(3, 5)": (lambda: q.motzkin_straus(3, 5),
+                             "^edges must be a collection of vertex pairs, got 5$"),
+    "slocc_apply(1, GHZ)": (lambda: q.slocc_apply(1, q.ghz_state()), "^one operator per subsystem is required$"),
+    "Povm(1.0)": (lambda: q.Povm(1.0), "^POVM elements must be a collection of matrices, got 1.0$"),
+    "KrausChannel(1.0)": (lambda: q.KrausChannel(1.0), "^Kraus operators must be a collection of matrices, got 1.0$"),
+    "from_ensemble(1, [psi])": (lambda: q.from_ensemble(1, [q.phi_plus()]),
+                                r"^probs must be 1-dimensional, got shape \(\)$"),
+    "from_ensemble(matrix probs)": (lambda: q.from_ensemble([[0.5, 0.5]], [q.phi_plus()]),
+                                    r"^probs must be 1-dimensional, got shape \(1, 2\)$"),
+    "three_qubit_spectra_compatible(0.7)": (lambda: q.three_qubit_spectra_compatible(0.7),
+                                            r"must lie in \[1/2, 1\]"),
+    "three_qubit_state_from_spectra(0.7)": (lambda: q.three_qubit_state_from_spectra(0.7),
+                                            r"must lie in \[1/2, 1\]"),
+    "w_polytope_check(0.7)": (lambda: q.w_polytope_check(0.7), "three largest eigenvalues"),
+    "spin_multiplicity(j None)": (lambda: q.spin_multiplicity(4, None), "^j must be finite, got None$"),
+    "born_probabilities(povm 3)": (lambda: q.born_probabilities(q.maximally_mixed(2), 3),
+                                   "^povm must be a Povm, got 3$"),
 }
 
 
@@ -354,6 +384,19 @@ ZERO_D = {
 def test_zero_d_array_reads_as_its_scalar(name):
     call, value = ZERO_D[name]
     assert same(call(np.array(value)), call(value))
+
+
+def test_a_single_index_is_a_party():
+    rho = q.random_density_matrix((2, 3), np.random.default_rng(5))
+    assert same(q.information_measures(rho, [0, 1]), q.information_measures(rho, [(0,), (1,)]))
+    assert same(q.quantum_pinsker_bound(rho, [0, 1]), q.quantum_pinsker_bound(rho, [(0,), (1,)]))
+
+
+def test_one_probability_rule_accepts_round_off():
+    # an eigvalsh spectrum may hold -1e-17; every reader clips it as shannon_entropy does
+    assert q.distillation_yield([0.5 + 1e-17, 0.5, -1e-17], 10) == q.distillation_yield([0.5, 0.5], 10)
+    psi = q.phi_plus()
+    assert same(q.from_ensemble([1 + 1e-10, -1e-10], [psi, psi]).dims, (2, 2))
 
 
 def test_kraus_channel_output_dimension():

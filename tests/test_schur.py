@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qilab as q
 from qilab.schur import _affine_maps, _partitions, _schur_weyl_basis, _semistandard_indices
 from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
-from qilab.tensor import permutation_operator, swap_operator, tensor
+from qilab.tensor import basis_digits, permutation_operator, swap_operator, tensor
 from tests_helpers_schur import (
     semistandard_fillings,
     spin_multiplicity_recursive,
@@ -214,6 +214,37 @@ def test_spin_projectors_match_dense_j2_eigh(n):
             assert np.max(np.abs(swap @ b.projector - b.projector @ swap)) < 1e-10
         acc += b.projector
     assert np.max(np.abs(acc - np.eye(2**n))) < 1e-10
+
+
+def spin_projectors_from_swap_table(n: int) -> list[q.SpinBlock]:
+    """The spin blocks with each weight sector's sum_{i<k} SWAP_ik accumulated from a
+    table of every pair's swap image of every basis string."""
+    dim = 2**n
+    digits = basis_digits(2, n)
+    weight = digits.sum(axis=0)
+    place = 2 ** np.arange(n - 1, -1, -1)
+    # swaps[p, x]: the index of basis string x with the digits of pair p exchanged
+    swaps = np.array([np.arange(dim) + (digits[k] - digits[i]) * (place[i] - place[k])
+                      for i, k in itertools.combinations(range(n), 2)],
+                     dtype=np.intp).reshape(-1, dim)
+    projs = {}
+    for w in range(n + 1):
+        idx = np.flatnonzero(weight == w)
+        j2 = np.zeros((idx.size, idx.size))
+        np.add.at(j2, (np.searchsorted(idx, swaps[:, idx]), np.arange(idx.size)), 1.0)
+        vals, vecs = np.linalg.eigh(j2)
+        two_j = np.rint(np.sqrt(1 + 4 * (vals + n * (4 - n) / 4)) - 1).astype(int)
+        for t in np.unique(two_j).tolist():
+            v = vecs[:, two_j == t]
+            projs.setdefault(t, np.zeros((dim, dim), dtype=complex))[np.ix_(idx, idx)] = v @ v.T
+    return [q.SpinBlock(t / 2, q.spin_multiplicity(n, t / 2), projs[t]) for t in sorted(projs, reverse=True)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spin_projectors_are_bytewise_the_swap_table_oracle(n):
+    got, want = q.spin_projectors(n), spin_projectors_from_swap_table(n)
+    assert [(b.j, b.multiplicity) for b in got] == [(b.j, b.multiplicity) for b in want]
+    assert all(np.array_equal(b.projector, c.projector) for b, c in zip(got, want))
 
 
 def test_projector_builders_reject_negative_n():

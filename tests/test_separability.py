@@ -656,6 +656,42 @@ def test_h_sep_sampled_is_lower_bound():
         assert lo <= q.h_n_ext(m, (2, 2), 3) + 1e-8
 
 
+def h_sep_sampled_loop(m, dims, starts=32, seed=0):
+    """The alternating ascent one start at a time, two eigh calls per sweep."""
+    d_a, d_b = dims
+    m = np.asarray(m, dtype=complex).reshape(d_a, d_b, d_a, d_b)
+
+    def ascend(spec, v):
+        c = np.einsum(spec, m, v.conj(), v)
+        vals, vecs = np.linalg.eigh((c + c.conj().T) / 2)
+        return vecs[:, -1], float(vals[-1])
+
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for _ in range(starts):
+        b = q.random_pure_state(d_b, rng).amps
+        val = -math.inf
+        for _ in range(200):
+            a, _ = ascend("aBAb,B,b->aA", b)
+            b, top = ascend("aBAb,a,A->Bb", a)
+            gain, val = top - val, top
+            if gain < 1e-12:
+                break
+        best = max(best, val)
+    return best
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 4)])
+def test_h_sep_sampled_is_the_per_start_loop(d_a, d_b):
+    rng = np.random.default_rng(d_a * 10 + d_b)
+    for seed in range(3):
+        g = rng.normal(size=(d_a * d_b,) * 2) + 1j * rng.normal(size=(d_a * d_b,) * 2)
+        for m in ((g + g.conj().T) / 2, g):
+            for starts in (1, 2, 7, 32):
+                got = q.h_sep_sampled(m, (d_a, d_b), starts=starts, seed=seed)
+                assert got == h_sep_sampled_loop(m, (d_a, d_b), starts, seed)
+
+
 @pytest.mark.parametrize("starts", [0, -2])
 def test_h_sep_sampled_rejects_no_starts(starts):
     with pytest.raises(ValueError, match="starts"):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qilab as q
@@ -15,6 +15,7 @@ from qilab.tensor import (
     _check_dims,
     _checked_dim,
     _hermitian,
+    _negative_eigenvalue,
     _strict_int,
     hermitian_eig,
     is_hermitian,
@@ -152,6 +153,30 @@ def test_hermitian_reader_messages(m, message):
     with pytest.raises(ValueError) as err:
         _hermitian(m, "rho")
     assert str(err.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 4), size=st.integers(1, 12),
+       pad=st.integers(0, 3), real=st.booleans(), tol=st.sampled_from([1e-12, 1e-9]),
+       lam_min=st.one_of(st.floats(-3e-9, 1e-9), st.floats(-0.5, 0.5)))
+def test_psd_test_agrees_with_eigvalsh(seed, blocks, size, pad, real, tol, lam_min):
+    """The one PSD test on a zero-padded stack, as the Schur-Weyl plan keeps blocks."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((blocks, size + pad, size + pad), dtype=float if real else complex)
+    for i in range(blocks):
+        d = int(rng.integers(1, size + 1))  # this block's size inside the padding
+        g = rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
+        u = np.linalg.qr(g)[0]
+        spectrum = rng.uniform(0, 1, size=d)
+        if i == 0:  # the block that carries lambda_min
+            spectrum[0] = lam_min
+        m[i, :d, :d] = (u * spectrum) @ u.conj().T
+    m = (m + m.conj().transpose(0, 2, 1)) / 2
+    lo = float(np.linalg.eigvalsh(m).min())
+    assume(abs(lo + tol) > 1e-10 * np.linalg.norm(m, 2, axis=(1, 2)).max())
+    got = _negative_eigenvalue(m, tol)
+    assert (got is None) == (lo >= -tol)
+    assert got is None or got == lo
 
 
 def test_a_single_subsystem_index_stands_for_itself():
