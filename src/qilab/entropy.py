@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .states import DensityMatrix
-from .tensor import (_checked_dim, _checked_distribution, _count, _ndim, _subsystems, basis_digits,
+from .tensor import (_checked_dim, _checked_distribution, _count, _normalized, _subsystems, basis_digits,
                      hermitian_eig, trace_norm)
 
 LN2 = math.log(2.0)
@@ -21,11 +21,15 @@ MC_BATCH = 4096  # rows per multinomial draw in typical_set: bounded memory, the
 TYPE_CLASS_CAP = 2**15  # compression_trial keeps n log2(d)-bit sizes per class: 260 MB at n = 2^15 - 1
 
 
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over the entries p > 0 of a ``_normalized`` p: >= 0, and 0.0 for a point mass."""
+    nz = p[p > 0]
+    return float(0.0 - np.sum(nz * np.log2(nz)))
+
+
 def shannon_entropy(p: Sequence[float]) -> float:
     """H(p) = -sum p_i log2 p_i, with 0 log 0 = 0."""
-    p = _checked_distribution(p, "p", ndim=None)
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return _entropy_bits(_checked_distribution(p, "p"))
 
 
 def binary_entropy(x: float) -> float:
@@ -48,30 +52,22 @@ def binary_relative_entropy(x: float, y: float) -> float:
     return total
 
 
-def _spectrum_entropy(vals: np.ndarray) -> float:
-    """-sum v log2 v over the eigenvalues above 1e-15."""
-    nz = vals[vals > 1e-15]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr rho log2 rho via the eigenvalue spectrum."""
-    return _spectrum_entropy(rho.eigenvalues())
+    return _entropy_bits(_normalized(rho.eigenvalues()))
 
 
 def classical_mutual_information(pxy: np.ndarray) -> float:
     """I(X:Y) = H(X) + H(Y) - H(XY) for a joint distribution matrix."""
-    pxy = _ndim(np.asarray(pxy, dtype=float), 2, "pxy")
-    _checked_distribution(pxy.reshape(-1), "pxy")
-    hx = shannon_entropy(pxy.sum(axis=1))
-    hy = shannon_entropy(pxy.sum(axis=0))
-    return hx + hy - shannon_entropy(pxy.reshape(-1))
+    pxy = _checked_distribution(pxy, "pxy", ndim=2)
+    hx = _entropy_bits(pxy.sum(axis=1))
+    hy = _entropy_bits(pxy.sum(axis=0))
+    return hx + hy - _entropy_bits(pxy.reshape(-1))
 
 
 def classical_pinsker_bound(pxy: np.ndarray) -> float:
     """(1/(2 ln 2)) * (l1 distance from the product of marginals)^2."""
-    pxy = _ndim(np.asarray(pxy, dtype=float), 2, "pxy")
-    _checked_distribution(pxy.reshape(-1), "pxy")
+    pxy = _checked_distribution(pxy, "pxy", ndim=2)
     prod = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
     l1 = float(np.sum(np.abs(pxy - prod)))
     return l1 * l1 / (2 * LN2)
@@ -93,10 +89,7 @@ def information_measures(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -
         raise ValueError("parties overlap")
 
     def s(*groups) -> float:
-        keep = sorted(i for g in groups for i in g)
-        if len(keep) == len(rho.dims):
-            return von_neumann_entropy(rho)
-        return von_neumann_entropy(rho.marginal(keep))
+        return von_neumann_entropy(rho.marginal(sorted(i for g in groups for i in g)))
 
     a, b = parts[0], parts[1]
     out = {
@@ -133,8 +126,7 @@ def quantum_pinsker_bound(rho: DensityMatrix, parties: Sequence[Sequence[int]]) 
     # order A before B to match the product
     if tuple(keep) != a + b:
         raise ValueError("parties must be sorted with A before B")
-    rab = rho.mat if len(keep) == len(rho.dims) else rho.marginal(keep).mat
-    l1 = trace_norm(rab - np.kron(rho.marginal(a).mat, rho.marginal(b).mat))
+    l1 = trace_norm(rho.marginal(keep).mat - np.kron(rho.marginal(a).mat, rho.marginal(b).mat))
     return l1 * l1 / (2 * LN2)
 
 
@@ -185,7 +177,7 @@ def typical_set(p: Sequence[float], n: int, delta: float,
     if not delta > 0:  # also rejects NaN
         raise ValueError("need delta > 0")
     d = len(p)
-    h = shannon_entropy(p)
+    h = _entropy_bits(p)
     logs = np.array([-math.log2(x) if x > 0 else math.inf for x in p])
 
     def typical(counts: np.ndarray) -> np.ndarray:  # counts along the last axis
@@ -229,7 +221,7 @@ def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
         raise ValueError("need delta > 0")
     nz = p[p > 0]
     logs = -np.log2(nz)
-    mean = float(np.sum(nz * logs))
+    mean = _entropy_bits(p)  # H(p), the mean surprisal
     # equal probabilities have zero variance, which these sums would miss by round-off
     var = 0.0 if np.ptp(logs) == 0 else float(np.sum(nz * logs**2) - mean**2)
     if n * delta * delta == 0:
@@ -252,8 +244,9 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     d = rho.dim
     _checked_dim(d, n)
     eig = hermitian_eig(rho.mat)
-    s = _spectrum_entropy(eig.eigenvalues)
-    logs = np.array([-math.log2(v) if v > 1e-15 else math.inf for v in eig.eigenvalues])
+    vals = _normalized(eig.eigenvalues)
+    s = _entropy_bits(vals)
+    logs = np.array([-math.log2(v) if v > 0 else math.inf for v in vals])
     digits = basis_digits(d, n)
     # summed position by position: each string's terms add up in string order
     typical = np.abs(sum(logs[x] for x in digits) / n - s) <= delta

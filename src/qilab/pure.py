@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import shannon_entropy
+from .entropy import _entropy_bits
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
-from .tensor import (_amplitude_matrix, _checked_distribution, _count, _is_scalar, _strict_int, _subsystems,
-                     tensor)
+from .tensor import (_amplitude_matrix, _checked_distribution, _count, _is_scalar, _normalized,
+                     _strict_int, _subsystems, tensor)
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -52,9 +52,7 @@ def schmidt(psi: PureState, cut: Sequence[int] | int) -> SchmidtDecomposition:
 def entanglement_entropy(psi: PureState, cut: Sequence[int] | int) -> float:
     """Entropy of the reduced state across the cut, in bits."""
     s = schmidt(psi, cut).coefficients
-    probs = s * s
-    probs = probs / probs.sum()
-    return shannon_entropy(probs)
+    return _entropy_bits(_normalized(s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ def teleport(psi: PureState, seed: int | None = None,
             raise ValueError("force_outcome must be in 0..3")
     else:
         rng = np.random.default_rng(seed)
-        outcome = int(rng.choice(4, p=probs / probs.sum()))
+        outcome = int(rng.choice(4, p=_normalized(probs)))
     p = probs[outcome]  # every outcome has probability 1/4
     v = residues[outcome] / math.sqrt(p)
     fixed = np.einsum("rB,bB->rb", v, _CORRECTIONS[outcome]).reshape(-1)

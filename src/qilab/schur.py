@@ -12,7 +12,7 @@ import numpy as np
 
 from .entropy import binary_entropy, binary_relative_entropy
 from .states import DensityMatrix, PureState
-from .tensor import _checked_dim, _count, _psd_sqrt, _strict_int, basis_digits
+from .tensor import _checked_dim, _count, _normalized, _psd_sqrt, _strict_int, basis_digits
 
 
 def symmetric_dimension(d: int, n: int) -> int:
@@ -388,9 +388,7 @@ def sample_spin_outcomes(r: float, n: int, size: int, seed: int = 0) -> np.ndarr
     size = _count(size, 0, "size")
     dist = spectrum_estimation_distribution(r, n)
     js = np.array(sorted(dist))
-    ps = np.array([dist[j] for j in js])
-    ps = np.clip(ps, 0, None)
-    ps /= ps.sum()
+    ps = _normalized(np.array([dist[j] for j in js]))
     rng = np.random.default_rng(seed)
     return rng.choice(js, size=size, p=ps)
 

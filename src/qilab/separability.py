@@ -35,12 +35,21 @@ class PptVerdict:
     spectrum: np.ndarray
 
 
+def _npt_certified(rho: DensityMatrix, lo: float) -> bool:
+    """Whether lo = lambda_min(rho^Gamma) < -(1e-10 + ||rho_-||_F), rho_- the negative part
+    that validation lets through, which certifies that the PSD part rho_+ is not PPT, as
+    ||rho_-^Gamma||_op <= ||rho_-^Gamma||_F = ||rho_-||_F.  rho's eigvalsh runs only if lo < -1e-10."""
+    if not lo < -1e-10:
+        return False
+    return lo < -1e-10 - float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(rho.mat), 0.0)))
+
+
 def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> PptVerdict:
-    """Partial-transpose spectrum test; an eigenvalue below -1e-10 certifies entanglement."""
+    """Partial-transpose spectrum test; entanglement is certified by ``_npt_certified``."""
     pt = partial_transpose(rho.mat, rho.dims, transpose_on)
     spec = hermitian_eig(pt).eigenvalues
     lo = float(spec[-1])
-    return PptVerdict(lo >= -1e-10, lo, spec)
+    return PptVerdict(not _npt_certified(rho, lo), lo, spec)
 
 
 def _operator_on(m: np.ndarray, rho: DensityMatrix) -> np.ndarray:
@@ -76,10 +85,11 @@ def chsh_witness() -> np.ndarray:
 
 
 def eigen_witness(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> np.ndarray:
-    """Witness (|v><v|)^T_A from the most negative eigenvector of rho^T_A."""
+    """Witness (|v><v|)^T_A from the most negative eigenvector of rho^T_A, for a state
+    ``ppt_check`` finds not PPT."""
     pt = partial_transpose(rho.mat, rho.dims, transpose_on)
     eig = hermitian_eig(pt)
-    if eig.eigenvalues[-1] >= 0:
+    if not _npt_certified(rho, eig.eigenvalues[-1]):
         raise ValueError("state is PPT; no negative eigenvector to build from")
     v = eig.eigenvectors[:, -1]
     return partial_transpose(np.outer(v, v.conj()), rho.dims, transpose_on)

@@ -18,6 +18,7 @@ from .tensor import (
     _is_scalar,
     _ndim,
     _negative_eigenvalue,
+    _normalized,
     _psd_sqrt,
     _strict_int,
     _subsystems,
@@ -183,14 +184,12 @@ def from_ensemble(probs: Sequence[float], states: Sequence[PureState | DensityMa
 
 
 def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
-    """Outcome distribution tr(Q_i rho); clips round-off and renormalizes."""
+    """Outcome distribution tr(Q_i rho), read through ``tensor._normalized``."""
     if not isinstance(povm, Povm):
         raise ValueError(f"povm must be a Povm, got {povm!r}")
     if povm.dim != rho.dim:
         raise ValueError("POVM / state dimension mismatch")
-    p = np.array([np.trace(q @ rho.mat).real for q in povm.elements])
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return _normalized(np.array([np.trace(q @ rho.mat).real for q in povm.elements]))
 
 
 def post_measurement(rho: DensityMatrix, projector: np.ndarray) -> tuple[float, DensityMatrix]:
@@ -218,7 +217,7 @@ class NaimarkDilation:
         """tr P_i (rho x |0><0|), which is tr(P_i[::m, ::m] rho): rho x |0><0| is
         zero off the rows and columns of ancilla value 0, every m-th one."""
         m = self.ancilla_dim
-        return np.array([np.trace(p[::m, ::m] @ rho.mat).real for p in self.projectors])
+        return _normalized(np.array([np.trace(p[::m, ::m] @ rho.mat).real for p in self.projectors]))
 
 
 def naimark_dilate(povm: Povm) -> NaimarkDilation:
@@ -241,21 +240,25 @@ def naimark_dilate(povm: Povm) -> NaimarkDilation:
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """The output state; it keeps rho's subsystem split when its dimension is rho's."""
     if channel.dim_in != rho.dim:
         raise ValueError("channel / state dimension mismatch")
-    return DensityMatrix(sum(k @ rho.mat @ k.conj().T for k in channel.kraus))
+    dims = rho.dims if channel.dim_out == rho.dim else None
+    return DensityMatrix(sum(k @ rho.mat @ k.conj().T for k in channel.kraus), dims)
 
 
 def quantum_instrument(channel: KrausChannel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
-    """Per-Kraus branches (p_i, E_i rho E_i^dag / p_i), skipping p_i ~ 0."""
+    """Per-Kraus branches (p_i, E_i rho E_i^dag / p_i), skipping p_i ~ 0; dims as in
+    ``apply_channel``."""
     if channel.dim_in != rho.dim:
         raise ValueError("channel / state dimension mismatch")
+    dims = rho.dims if channel.dim_out == rho.dim else None
     branches = []
     for k in channel.kraus:
         out = k @ rho.mat @ k.conj().T
         p = float(np.trace(out).real)
         if p > ZERO_PROB:
-            branches.append((p, DensityMatrix(out / p)))
+            branches.append((p, DensityMatrix(out / p, dims)))
     return branches
 
 

@@ -195,15 +195,21 @@ def _negative_eigenvalue(m: np.ndarray, tol: float) -> float | None:
     return None
 
 
-def _checked_distribution(p: Sequence[float], name: str, ndim: int | None = 1) -> np.ndarray:
-    """``p`` as a probability distribution with ``ndim`` axes (any number for None),
-    entries above -INPUT_TOL clipped to 0; else ValueError naming it."""
-    p = np.asarray(p, dtype=float)
-    if ndim is not None:
-        _ndim(p, ndim, name)
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """``p`` clipped at 0 and divided by its sum if that exceeds 1: entries in [0, 1], a total at most 1
+    up to rounding.  A nonnegative ``p`` summing to at most 1 comes back bit for bit."""
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    return p / total if total > 1 else p
+
+
+def _checked_distribution(p: Sequence[float], name: str, ndim: int = 1) -> np.ndarray:
+    """``p`` with ``ndim`` axes, entries at least -INPUT_TOL and a sum within INPUT_TOL of 1, through
+    ``_normalized``; else ValueError naming it."""
+    p = _ndim(np.asarray(p, dtype=float), ndim, name)
     if not (np.all(p >= -INPUT_TOL) and abs(p.sum() - 1.0) <= INPUT_TOL):  # also rejects NaN, inf
         raise ValueError(f"{name} is not a probability distribution")
-    return np.clip(p, 0.0, None)
+    return _normalized(p)
 
 
 def is_hermitian(m: np.ndarray) -> bool:

@@ -360,3 +360,27 @@ def test_typical_mass_lower_bound_where_n_delta_squared_underflows(p, want):
     assert q.typical_mass_lower_bound(p, 10, 1e-200) == want
     assert q.typical_mass_lower_bound(p, 10, 1e-160) == want  # no underflow: the same value
     assert q.typical_mass_lower_bound(p, 10, 0.1) <= 1.0
+
+
+def test_entropy_of_an_accepted_vector_summing_above_one_is_zero():
+    # the reader clips -1e-10 to 0 and scales the 1 + 1e-10 that is left down to 1
+    for p in ([1 + 1e-10, -1e-10], [1 + 5e-10, 0.0], [1.0, 0.0]):
+        h = q.shannon_entropy(p)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # 0.0, not -0.0
+
+
+def test_shannon_entropy_reads_only_vectors():
+    with pytest.raises(ValueError, match="1-dimensional"):
+        q.shannon_entropy([[0.5, 0.0], [0.0, 0.5]])
+
+
+def test_typical_set_samples_an_accepted_vector_summing_above_one():
+    rep = q.typical_set([1 + 5e-10, 0.0], 100, 0.1)  # d^n is past the enumeration cap
+    assert rep.mass_stderr is not None and rep.entropy == 0.0 and rep.mass == 1.0
+
+
+def test_von_neumann_entropy_of_random_pure_states_is_nonnegative():
+    rng = np.random.default_rng(0)
+    vals = [q.von_neumann_entropy(q.random_pure_state(d, rng=rng).density())
+            for _ in range(200) for d in (2, 3, 4, 8, 16)]
+    assert min(vals) >= 0.0 and max(vals) < 1e-13

@@ -194,3 +194,8 @@ def test_three_qubit_compatibility_and_reconstruction():
 def test_w_polytope():
     assert q.w_polytope_check(q.largest_marginal_eigenvalues(q.w_state()))
     assert not q.w_polytope_check(q.largest_marginal_eigenvalues(q.ghz_state()))
+
+
+@pytest.mark.parametrize("spectrum", [[1 + 5e-10, 0.0], [1 + 1e-10, -1e-10]])
+def test_distillation_yield_samples_an_accepted_spectrum_summing_above_one(spectrum):
+    assert q.distillation_yield(spectrum, 4) == 0.0  # a point mass: one type class of size 1

@@ -813,3 +813,13 @@ def test_bcy_inequality_check_rejects_no_samples(samples):
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must"):
             q.bcy_inequality_check(q.phi_plus().density(), np.eye(4), k)
+
+
+@pytest.mark.parametrize("eps", [5e-10, 5e-11])
+def test_ppt_certificate_allows_for_the_validation_slack(eps):
+    # a diagonal, hence separable, state that validation accepts; its partial
+    # transpose is itself, so the negative eigenvalue is rho's own, not evidence
+    rho = q.DensityMatrix(np.diag([0.5 + eps, 0.5, 0.0, -eps]), (2, 2))
+    assert q.ppt_check(rho).is_ppt
+    with pytest.raises(ValueError, match="PPT"):
+        q.eigen_witness(rho)

@@ -335,3 +335,16 @@ def test_kraus_channel_validation():
             q.KrausChannel((k,))
     with pytest.raises(ValueError):
         q.Povm((np.eye(2) * 0.5,))
+
+
+def test_channels_keep_the_subsystem_split():
+    rho = q.random_density_matrix((2, 2), np.random.default_rng(3))
+    ch = q.depolarizing_channel(0.3, 4)
+    out = q.apply_channel(ch, rho)
+    assert out.dims == (2, 2)
+    assert np.allclose(out.marginal([1]).mat, 0.7 * rho.marginal([1]).mat + 0.3 * np.eye(2) / 2)
+    assert all(branch.dims == (2, 2) for _, branch in q.quantum_instrument(ch, rho))
+    # a channel onto another space gives one system of its output dimension
+    trace_a = q.KrausChannel([np.kron(np.eye(2)[[i]], np.eye(2)) for i in range(2)])
+    assert q.apply_channel(trace_a, rho).dims == (2,)
+    assert all(branch.dims == (2,) for _, branch in q.quantum_instrument(trace_a, rho))

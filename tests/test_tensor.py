@@ -16,6 +16,7 @@ from qilab.tensor import (
     _checked_dim,
     _hermitian,
     _negative_eigenvalue,
+    _normalized,
     _strict_int,
     hermitian_eig,
     is_hermitian,
@@ -445,3 +446,18 @@ def test_fixed_tolerances_are_not_keywords(name):
     fn, args, kw = FIXED_VALUES[name]
     with pytest.raises(TypeError, match=kw):
         fn(*args, **{kw: 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12), st.floats(0.0, 1.0))
+def test_normalized_clips_and_scales_down_only_an_excess(v, scale):
+    p = np.array(v)
+    out = _normalized(p)
+    assert np.all((out >= 0) & (out <= 1))
+    # one division per entry rounds each by at most half an ulp
+    assert out.sum() <= 1 + len(p) * np.finfo(float).eps
+    np.random.default_rng(0).multinomial(5, out)  # numpy accepts it as pvals
+    nonneg = np.abs(p)
+    nonneg = nonneg * (scale / nonneg.sum()) if nonneg.sum() > 1 else nonneg
+    if nonneg.sum() <= 1:
+        assert _normalized(nonneg).tobytes() == nonneg.tobytes()
