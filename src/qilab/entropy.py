@@ -52,9 +52,18 @@ def binary_relative_entropy(x: float, y: float) -> float:
     return total
 
 
+def _spectrum(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho's eigenvalues, descending, through ``_normalized``, with their eigenvectors; an eigenvalue
+    at or below dim * eps * lambda_max, the backward error of eigh, reads as 0."""
+    eig = hermitian_eig(rho.mat)
+    vals = eig.eigenvalues
+    cut = rho.dim * np.finfo(float).eps * vals[0]
+    return _normalized(np.where(vals > cut, vals, 0.0)), eig.eigenvectors
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr rho log2 rho via the eigenvalue spectrum."""
-    return _entropy_bits(_normalized(rho.eigenvalues()))
+    """S(rho) = -tr rho log2 rho via the spectrum ``_spectrum`` reads."""
+    return _entropy_bits(_spectrum(rho)[0])
 
 
 def classical_mutual_information(pxy: np.ndarray) -> float:
@@ -121,7 +130,10 @@ def information_measures(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -
 def quantum_pinsker_bound(rho: DensityMatrix, parties: Sequence[Sequence[int]]) -> float:
     """(1/(2 ln 2)) ||rho_AB - rho_A x rho_B||_1^2 for a bipartite split, each party
     read as in ``information_measures``."""
-    a, b = (tuple(_subsystems(g, len(rho.dims))) for g in parties)
+    parts = [tuple(_subsystems(g, len(rho.dims))) for g in parties]
+    if len(parts) != 2:
+        raise ValueError("need two parties")
+    a, b = parts
     keep = sorted(a + b)
     # order A before B to match the product
     if tuple(keep) != a + b:
@@ -163,29 +175,37 @@ def _iter_types(n: int, d: int):
         size[k:] = [size[k - 1]] * (d - k)
 
 
+def _typicality(p: np.ndarray, n: int, delta: float) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
+    """H(p) and the one typicality test: counts (along the last axis) of a string of length n over
+    the symbols of ``p`` are typical when |-(1/n) log2 p(x^n) - H(p)| <= delta."""
+    if not delta > 0:  # also rejects NaN
+        raise ValueError("need delta > 0")
+    h = _entropy_bits(p)
+    logs = np.array([-math.log2(x) if x > 0 else math.inf for x in p])
+
+    def typical(counts: np.ndarray) -> np.ndarray:
+        ll = np.zeros(counts.shape[:-1])
+        for i in range(len(p)):  # in symbol order; a zero count adds nothing, so 0 * inf is never formed
+            c = counts[..., i]
+            ll += np.multiply(c, logs[i], out=np.zeros(ll.shape), where=c > 0)
+        return np.abs(ll / n - h) <= delta
+
+    return h, typical
+
+
 def typical_set(p: Sequence[float], n: int, delta: float,
                 mc_samples: int = 20000, seed: int = 0) -> TypicalSetReport:
     """The set of n-strings with empirical log-likelihood within delta of H(p).
 
     A string x^n is typical when |-(1/n) log2 p(x^n) - H(p)| <= delta, which
-    one predicate decides from its counts.  For alphabets with d^n below the
+    ``_typicality`` decides from its counts.  For alphabets with d^n below the
     enumeration cap the mass and size are exact (over all type classes);
     otherwise the mass is the typical share of ``mc_samples`` draws.
     """
     p = _checked_distribution(p, "p")
     n, mc_samples = _count(n, 1, "n"), _count(mc_samples, 1, "mc_samples")
-    if not delta > 0:  # also rejects NaN
-        raise ValueError("need delta > 0")
+    h, typical = _typicality(p, n, delta)
     d = len(p)
-    h = _entropy_bits(p)
-    logs = np.array([-math.log2(x) if x > 0 else math.inf for x in p])
-
-    def typical(counts: np.ndarray) -> np.ndarray:  # counts along the last axis
-        ll = np.zeros(counts.shape[:-1])
-        for i in range(d):  # in symbol order; a zero count adds nothing, so 0 * inf is never formed
-            c = counts[..., i]
-            ll += np.multiply(c, logs[i], out=np.zeros(ll.shape), where=c > 0)
-        return np.abs(ll / n - h) <= delta
 
     def is_typical(xs: Sequence[int]) -> bool:
         xs = np.asarray(xs)
@@ -230,29 +250,25 @@ def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
 
 
 def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.ndarray:
-    """Projector onto eigenstrings of rho^(x n) with typical log-eigenvalue.
+    """Projector onto the eigenstrings of rho^(x n) whose eigenvalue string is typical.
 
-    Rank is bounded by 2^{n (S + delta)}.  The typical strings are picked
-    from the digit array of all d^n basis indices at once, and the
-    projector is W W^dagger with W the typical columns of U^(x n), where U
-    is the eigenbasis of rho.  Only feasible for d^n within the operator
-    size cap.
+    The spectrum is ``_spectrum``'s and the test is ``typical_set``'s, ``_typicality``,
+    applied to the symbol counts of all d^n eigenstrings at once, so the rank is the
+    size of that spectrum's typical set, at most 2^{n (S + delta)}.  The projector
+    is W W^dagger with W the typical columns of U^(x n), where U is the eigenbasis
+    of rho.  Only feasible for d^n within the operator size cap.
     """
     n = _count(n, 1, "n")
-    if not delta > 0:  # also rejects NaN
-        raise ValueError("need delta > 0")
+    p, vecs = _spectrum(rho)
+    typical = _typicality(p, n, delta)[1]
     d = rho.dim
     _checked_dim(d, n)
-    eig = hermitian_eig(rho.mat)
-    vals = _normalized(eig.eigenvalues)
-    s = _entropy_bits(vals)
-    logs = np.array([-math.log2(v) if v > 0 else math.inf for v in vals])
     digits = basis_digits(d, n)
-    # summed position by position: each string's terms add up in string order
-    typical = np.abs(sum(logs[x] for x in digits) / n - s) <= delta
-    w = np.ones((1, int(typical.sum())), dtype=complex)
-    for x in digits[:, typical]:
-        w = (w[:, None, :] * eig.eigenvectors[:, x]).reshape(w.shape[0] * d, -1)
+    counts = (digits == np.arange(d)[:, None, None]).sum(axis=1, dtype=np.int16)  # (d, d^n); counts <= n
+    keep = typical(counts.T)
+    w = np.ones((1, int(keep.sum())), dtype=complex)
+    for x in digits[:, keep]:
+        w = (w[:, None, :] * vecs[:, x]).reshape(w.shape[0] * d, -1)
     return w @ w.conj().T
 
 

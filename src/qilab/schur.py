@@ -317,10 +317,8 @@ def spin_projectors(n: int) -> list[SpinBlock]:
     """
     n = _strict_int(n)
     dim = _checked_dim(2, n)
-    weight = basis_digits(2, n).sum(axis=0)
     projs: dict[int, np.ndarray] = {}  # keyed by 2j
-    for w in range(n + 1):
-        idx = np.flatnonzero(weight == w)
+    for w, idx in _group_by(basis_digits(2, n).sum(axis=0)).items():  # by Hamming weight
         x = idx[:, None] ^ idx
         y = x & (x - 1)
         j2 = ((x != 0) & (y & (y - 1) == 0)).astype(float)

@@ -22,6 +22,7 @@ from .tensor import (
     _hermitian,
     _is_scalar,
     _negative_eigenvalue,
+    _operator_on,
     _strict_int,
     hermitian_eig,
     partial_transpose,
@@ -52,16 +53,8 @@ def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> PptV
     return PptVerdict(not _npt_certified(rho, lo), lo, spec)
 
 
-def _operator_on(m: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """``m`` as a finite complex matrix of the shape of ``rho``, else ValueError."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != rho.mat.shape:
-        raise ValueError(f"operator of shape {m.shape} does not act on a state of dimension {rho.dim}")
-    return _finite(m)
-
-
 def witness_value(w: np.ndarray, rho: DensityMatrix) -> float:
-    return float(np.trace(_operator_on(w, rho) @ rho.mat).real)
+    return float(np.trace(_operator_on(w, rho.dim) @ rho.mat).real)
 
 
 def flip_witness() -> np.ndarray:
@@ -255,7 +248,7 @@ def check_extendibility_witness(w: np.ndarray, rho: DensityMatrix, k: int) -> bo
     tr(w rho) = tr(sym(w x I) sigma) >= 0.  The lift is d_B^{k-1} correction(w),
     a stack of blocks checked by the one PSD test, ``tensor._negative_eigenvalue``."""
     d_a, d_b, k = _extension_dims(rho, k)
-    w = _hermitian(_operator_on(w, rho), "witness")
+    w = _hermitian(_operator_on(w, rho.dim), "witness")
     correction = _affine_maps(d_b, k)[1]
     lift = d_b ** (k - 1) * correction(_to_cc(w, d_a, d_b))
     return _negative_eigenvalue(lift, WITNESS_TOL) is None and witness_value(w, rho) < -WITNESS_TOL
@@ -311,7 +304,7 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
         raise ValueError("state must be bipartite")
     k, samples = _count(k, 1, "k"), _count(samples, 1, "samples")
     d_a, d_b = rho.dims
-    m = _operator_on(measurement, rho)
+    m = _operator_on(measurement, rho.dim)
     rhs = math.sqrt(2 * math.log(2) * math.log2(d_a) / k)
     rng = np.random.default_rng(seed)
     # one product vector a x b per row, a drawn before b for each sample

@@ -19,6 +19,7 @@ from .tensor import (
     _ndim,
     _negative_eigenvalue,
     _normalized,
+    _operator_on,
     _psd_sqrt,
     _strict_int,
     _subsystems,
@@ -194,7 +195,7 @@ def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
 
 def post_measurement(rho: DensityMatrix, projector: np.ndarray) -> tuple[float, DensityMatrix]:
     """Project and renormalize: (p, P rho P / p) for a projector P."""
-    p_op = _hermitian(projector, "projector")
+    p_op = _hermitian(_operator_on(projector, rho.dim), "projector")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing P^2 fails the test
         if not np.max(np.abs(p_op @ p_op - p_op)) <= INPUT_TOL:
             raise ValueError("projector must satisfy P^2 = P = P^dag within 1e-9")
@@ -216,6 +217,8 @@ class NaimarkDilation:
     def probabilities(self, rho: DensityMatrix) -> np.ndarray:
         """tr P_i (rho x |0><0|), which is tr(P_i[::m, ::m] rho): rho x |0><0| is
         zero off the rows and columns of ancilla value 0, every m-th one."""
+        if rho.dim != self.system_dim:
+            raise ValueError("POVM / state dimension mismatch")
         m = self.ancilla_dim
         return _normalized(np.array([np.trace(p[::m, ::m] @ rho.mat).real for p in self.projectors]))
 

@@ -91,6 +91,14 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _operator_on(m: np.ndarray, dim: int) -> np.ndarray:
+    """``m`` as a finite complex dim x dim matrix, else ValueError."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"operator of shape {m.shape} does not act on a state of dimension {dim}")
+    return _finite(m)
+
+
 def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     """Positive subsystem dimensions multiplying to ``size``; None is one system."""
     if dims is None:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qilab as q
-from qilab.entropy import MC_BATCH, _iter_types
+from qilab.entropy import MC_BATCH, _entropy_bits, _iter_types, _spectrum
 
 RNG = np.random.default_rng(11)
 
@@ -384,3 +384,50 @@ def test_von_neumann_entropy_of_random_pure_states_is_nonnegative():
     vals = [q.von_neumann_entropy(q.random_pure_state(d, rng=rng).density())
             for _ in range(200) for d in (2, 3, 4, 8, 16)]
     assert min(vals) >= 0.0 and max(vals) < 1e-13
+
+
+def type_deviations(p, n):
+    """|-(1/n) log2 p(x^n) - H(p)| of every type class, summed as typical_set sums it."""
+    logs = [-math.log2(x) if x > 0 else math.inf for x in p]
+    h = _entropy_bits(p)
+    devs = set()
+    for t, _ in _iter_types(n, len(p)):
+        ll = 0.0
+        for c, s in zip(t, logs):
+            if c:
+                ll += c * s
+        devs.add(abs(ll / n - h))
+    return sorted(x for x in devs if 0 < x < math.inf)
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
+def test_typical_projector_rank_is_the_typical_set_size(d, n):
+    # at delta equal to a type's own deviation the type sits on the boundary, where any
+    # second test that sums in another order would decide otherwise
+    rng = np.random.default_rng(29 + d)
+    for _ in range(40):
+        rho = q.random_density_matrix(d, rng)
+        p = _spectrum(rho)[0]
+        if p.sum() > 1:  # typical_set would normalize p a second time
+            continue
+        for delta in type_deviations(p, n)[:6]:
+            rank = round(np.trace(q.typical_subspace_projector(rho, n, delta)).real)
+            log_size = q.typical_set(p, n, delta).log_size
+            assert rank == (0 if log_size == -math.inf else round(2 ** log_size))
+
+
+def test_round_off_eigenvalues_of_a_pure_state_read_as_zero():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        rho = q.random_pure_state(3, rng=rng).density()
+        assert round(np.trace(q.typical_subspace_projector(rho, 4, 20)).real) == 1
+    rng = np.random.default_rng(0)
+    vals = [q.von_neumann_entropy(q.random_pure_state(d, rng=rng).density())
+            for _ in range(200) for d in (2, 3, 4, 8, 16)]
+    assert max(vals) <= 1e-14
+
+
+def test_typical_projector_reads_a_spectrum_within_the_input_tolerance():
+    # eigenvalues down to -1e-9 and a trace 1 + 2e-10 are accepted, and normalized away
+    rho = q.DensityMatrix(np.diag([0.5 + 2e-9, 0.5, -0.9e-9, -0.9e-9]))
+    assert round(np.trace(q.typical_subspace_projector(rho, 3, 0.5)).real) == 8

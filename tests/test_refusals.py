@@ -78,6 +78,10 @@ REFUSALS = {
         lambda: q.information_measures(q.ghz_state().density(), [[0, 1, 2]]), "two or three parties"),
     "information_measures(overlapping parties)": (
         lambda: q.information_measures(q.ghz_state().density(), [[0, 1], [1, 2]]), "parties overlap"),
+    "quantum_pinsker_bound(one party)": (lambda: q.quantum_pinsker_bound(q.noisy_epr(0.5), [[0]]),
+                                         "^need two parties$"),
+    "quantum_pinsker_bound(three parties)": (
+        lambda: q.quantum_pinsker_bound(q.ghz_state().density(), [[0], [1], [2]]), "^need two parties$"),
     # pure
     "teleport(force_outcome=4)": (lambda: q.teleport(q.PureState(np.array([1, 0])), force_outcome=4),
                                   r"outcome must be in 0\.\.3"),
@@ -192,6 +196,20 @@ REFUSALS = {
     "bcy_inequality_check(3 x 3 on two qubits)": (
         lambda: q.bcy_inequality_check(q.noisy_epr(0.5), np.eye(3), 2),
         r"^operator of shape \(3, 3\) does not act on a state of dimension 4$"),
+    "post_measurement(2 x 2 on two qubits)": (
+        lambda: q.post_measurement(q.noisy_epr(0.5), np.eye(2)),
+        r"^operator of shape \(2, 2\) does not act on a state of dimension 4$"),
+    "NaimarkDilation.probabilities(two qubits)": (
+        lambda: q.naimark_dilate(q.tetrahedron_povm()).probabilities(q.noisy_epr(0.5)),
+        "^POVM / state dimension mismatch$"),
+    "slocc_apply(3 x 3 on a qubit)": (
+        lambda: q.slocc_apply([np.eye(3), np.eye(2)], q.phi_plus()),
+        r"^operator of shape \(3, 3\) does not act on a state of dimension 2$"),
+    "slocc_apply(vector)": (
+        lambda: q.slocc_apply([np.ones(2), np.eye(2)], q.phi_plus()),
+        r"^operator of shape \(2,\) does not act on a state of dimension 2$"),
+    "slocc_apply(NaN)": (lambda: q.slocc_apply([np.full((2, 2), math.nan), np.eye(2)], q.phi_plus()),
+                         "NaN or infinite"),
     # a NaN, infinite or degenerate real parameter
     "three_qubit_spectra_compatible(NaN)": (lambda: q.three_qubit_spectra_compatible([math.nan] * 3),
                                             r"must lie in \[1/2, 1\]"),
