@@ -5,14 +5,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .entropy import binary_entropy, binary_relative_entropy
 from .states import DensityMatrix, PureState
 from .tensor import _checked_dim, _count, _normalized, _psd_sqrt, _strict_int, basis_digits
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def symmetric_dimension(d: int, n: int) -> int:
@@ -43,6 +45,8 @@ def symmetric_projector(d: int, n: int) -> np.ndarray:
 
 def estimation_overlap_exact(d: int, n: int, k: int) -> Fraction:
     """Exact overlap ratio dim Sym^n / dim Sym^{n+k} >= 1 - d k / n."""
+    from fractions import Fraction  # here, not at import: it pulls in decimal too
+
     d, n, k = _count(d, 1, "d"), _count(n, 1, "n"), _count(k, 0, "k")
     return Fraction(symmetric_dimension(d, n), symmetric_dimension(d, n + k))
 
@@ -90,15 +94,20 @@ def _permutation_average(t: np.ndarray, slots: Sequence[Sequence[int]],
     Each slot is a tuple of axes of ``t`` that move together (a row and its
     column axis for an operator).  S_j is built from S_{j-1} and its coset
     representatives e, (i j) for i < j, so the S_m average costs m(m-1)/2
-    axis transposes; with ``sign`` -1 each transposition enters negated.
+    axis transposes, each added in place; with ``sign`` -1 each
+    transposition enters negated.
     """
+    combine = np.add if sign > 0 else np.subtract
     for j in range(1, len(slots)):
-        acc = t.copy()
+        acc = None
         for i in range(j):
             axes = list(range(t.ndim))
             for a, b in zip(slots[i], slots[j]):
                 axes[a], axes[b] = b, a
-            acc += sign * t.transpose(axes)
+            if acc is None:
+                acc = combine(t, t.transpose(axes))
+            else:
+                combine(acc, t.transpose(axes), out=acc)
         acc /= j + 1
         t = acc
     return t
@@ -167,22 +176,112 @@ def _schur_weyl_basis(d: int, k: int) -> tuple[np.ndarray, list[np.ndarray], np.
     return np.array(f), fills, w
 
 
+def _aligned_copies(d: int, k: int, copies: np.ndarray) -> None:
+    """Fill ``copies`` (d^k, f_lam, q_lam), whose copy 0 holds the basis of Q_lam from
+    ``_schur_weyl_basis``, with f_lam orthonormal copies of Q_lam aligned with it.
+
+    Copy i is U(. x v_i) for an orthonormal basis v_i of P_lam, U the Schur-Weyl
+    isomorphism, so copy i carries basis vector s of Q_lam to column s.  A
+    permutation of the k factors acts as I x pi on Q_lam x P_lam and maps aligned
+    copies to aligned copies, and by Schur's lemma two aligned copies have
+    C_i^T C_j = <v_i, v_j> I: their first columns carry every overlap.  So
+    Gram-Schmidt runs on first columns only, over the images of each accepted
+    copy under the adjacent transpositions (which generate S_k, whose images of
+    v_0 span the irreducible P_lam), and a copy is formed only when its first
+    column is new.  On every (d, k) with d^k <= 4096 a residual is either
+    round-off (below 2e-15) or at least 0.16, so the cut at 1e-6 decides; one
+    reorthogonalisation keeps the copies orthonormal to round-off.
+    """
+    dim, f, q = copies.shape
+    first = np.empty((f, dim))  # first columns of the accepted copies
+    first[0] = copies[:, 0, 0]
+    accepted = 1
+    for src in range(f):  # breadth first: copy src is accepted before it is read
+        assert src < accepted, "the transposition images do not span P_lam"
+        for j in range(k - 1):
+            if accepted == f:
+                return
+            # the swap of factors j and j + 1
+            image = first[src].reshape(d**j, d, d, -1).swapaxes(1, 2).reshape(dim)
+            coef = first[:accepted] @ image
+            resid = image - coef @ first[:accepted]
+            again = first[:accepted] @ resid
+            resid -= again @ first[:accepted]
+            norm = math.sqrt(resid @ resid)
+            if norm > 1e-6:
+                copy = copies[:, src].reshape(d**j, d, d, -1, q).swapaxes(1, 2).reshape(dim, q)
+                combo = np.tensordot(copies[:, :accepted], coef + again, axes=([1], [0]))
+                copies[:, accepted] = (copy - combo) / norm
+                first[accepted] = copies[:, accepted, 0]
+                accepted += 1
+
+
+def _sector_blocks(d: int, k: int, f: np.ndarray, fills: list[np.ndarray], w: np.ndarray):
+    """The aligned copies of every Q_lam (``_aligned_copies``) as the blocks of one
+    orthogonal d^k x d^k matrix V with columns (lam, i, s): column s of copy i of Q_lam.
+
+    Permutations keep the weight of a string (its digits in increasing order), and
+    column (lam, i, s) has the weight of filling s, so V is block diagonal over the
+    weight sectors: strings and columns of one weight.  Sectors are ordered by size,
+    then weight, so those of one size m are a run of positions [a, b) that one
+    (cnt, m, m) stack serves.  Returns the runs (a, b, stack), ``cols``, where
+    cols[lam] (f_lam, q_lam) holds the sorted positions of the columns of Q_lam,
+    and the sorted position of each string.
+    """
+    dim = w.shape[1]
+    place = d ** np.arange(k - 1, -1, -1)
+    key = np.sort(np.indices((d,) * k).reshape(k, -1), axis=0).T @ place  # each string's weight
+    # the d strings c c ... c, one per single-string sector, share one d x d (diagonal)
+    # block: any union of sectors is a block of V, and this one saves a batch
+    key[np.bincount(key)[key] == 1] = 0
+    size = np.bincount(key, minlength=dim)  # strings per sector
+    v = np.empty((dim, dim))  # the columns (lam, i, s), one copy after another
+    col_key, spans, start = np.empty(dim, dtype=key.dtype), [], 0
+    for l, fill in enumerate(fills):
+        span = f[l] * fill.size
+        copies = v[:, start:start + span].reshape(dim, f[l], fill.size)
+        copies[:, 0] = w[l, :, :fill.size]
+        _aligned_copies(d, k, copies)
+        col_key[start:start + span] = np.tile(key[fill], f[l])
+        spans.append((start, f[l], fill.size))
+        start += span
+    by_row = np.lexsort((key, size[key]))  # stable: each sector in increasing order
+    by_col = np.lexsort((col_key, size[col_key]))
+    assert np.array_equal(key[by_row], col_key[by_col]), "a sector is not square"
+    sorted_pos, pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    sorted_pos[by_row] = pos[by_col] = np.arange(dim)
+    sizes = size[key[by_row]]
+    bounds = np.append(np.flatnonzero(np.diff(sizes, prepend=0)), dim)
+    runs = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        r, c = by_row[a:b].reshape(-1, sizes[a]), by_col[a:b].reshape(-1, sizes[a])
+        runs.append((a, b, v[r[:, :, None], c[:, None, :]]))
+    cols = [pos[start:start + f_l * q].reshape(f_l, q) for start, f_l, q in spans]
+    return runs, cols, sorted_pos
+
+
 @functools.lru_cache(maxsize=8)
 def _affine_maps(d: int, k: int):
     """The cached plan on the basis ``_schur_weyl_basis(d, k)``, which it builds: the
     A B_1 marginal of its zero-padded (n, d_A q_max, d_A q_max) block stacks, its
     adjoint ``correction``, the blocks of sym(D x I/d^{k-1}), for A B_1 operators
     kept as the stack D[c d + C] = <c|D|C> of d_A x d_A blocks, and ``embed``, the
-    operator (+)_lam X_lam x I_{f_lam} = sum_lam f_lam sym(W_lam X_lam W_lam^T) of
-    a stack; each reads d_A from its input.  The first two are sums over the
-    entries G_lam[c, C, s, t] = <w_s| J_cC |w_t> of the gl(d) generators
-    J_cC = sum_j E_cC^(j) on each Q_lam:
+    operator (+)_lam X_lam x I_{f_lam} of a stack; each reads d_A from its input.
+    The first two are sums over the entries G_lam[c, C, s, t] = <w_s| J_cC |w_t> of
+    the gl(d) generators J_cC = sum_j E_cC^(j) on each Q_lam:
 
         marginal(X)[c C] = sum_lam (f_lam/k) sum_{s,t} G_lam[c, C, s, t] X_lam[(., s), (., t)]
         correction(D)_lam[(., s), (., t)] = sum_{c,C} G_lam[c, C, s, t] D[c C] / (k d^{k-1})
 
     Each is one gather, scaled, then summed over runs of entries by np.add.reduceat;
-    neither reads the padding of a stack, and ``correction`` leaves it zero.
+    none of the three reads the padding of a stack, and ``correction`` leaves it zero.
+
+    ``embed`` is sum_lam sum_i (I x V_lam,i) X_lam (I x V_lam,i)^T over the f_lam
+    aligned copies V_lam,i of Q_lam, that is V Xs V^T with Xs = (+)_(lam, i) X_lam
+    and V the orthogonal matrix of ``_sector_blocks``, built on the first call and
+    kept with the plan.  V is block diagonal over weight sectors, so each product
+    by V is one batched matmul per sector size, in real arithmetic (a complex
+    operand is read as pairs of reals).
 
     Column s of w[lam] has the weight of semistandard filling s: the QR keeps
     the fillings in order, and fillings of different weight stay orthogonal.
@@ -242,15 +341,34 @@ def _affine_maps(d: int, k: int):
         z[lam_z, :, s_z, :, t_z] = np.add.reduceat(delta[cc_corr] * g_corr, block_starts, axis=0)
         return z.reshape(n, d_a * q_max, d_a * q_max)
 
+    sectors = functools.cache(lambda: _sector_blocks(d, k, f, fills, w))
+
     def embed(blocks: np.ndarray) -> np.ndarray:
+        runs, cols, sorted_pos = sectors()
         d_a = blocks.shape[1] // q_max
-        half = (blocks.reshape(n, -1, q_max) @ w.transpose(0, 2, 1)).reshape(n, d_a, q_max, d_a, dim)
-        full = np.tensordot(w * f[:, None, None], half, axes=([0, 2], [0, 2])).transpose(1, 0, 2, 3)
-        full = _permutation_average(full.reshape(((d_a,) + (d,) * k) * 2),
-                                    [(1 + i, k + 2 + i) for i in range(k)])
-        return full.reshape(d_a * dim, d_a * dim)
+        xt = blocks.reshape(n, d_a, q_max, d_a, q_max).transpose(0, 4, 2, 1, 3)  # [lam, t, s, a, A]
+        z = np.zeros((dim, dim, d_a, d_a), dtype=blocks.dtype)  # Xs^T: [column t, column s, a, A]
+        for l, c in enumerate(cols):
+            q = c.shape[1]
+            z[c[:, :, None], c[:, None, :]] = xt[l, :q, :q]  # X_lam on copy i, for every i
+        # z is rebound at each step, so no more than two operator-sized arrays are held
+        z = _times_blockdiag(runs, z)  # V Xs^T: [row y (sorted), column s, a, A]
+        z = z.transpose(1, 0, 2, 3)[:, sorted_pos]  # Xs V^T, its strings back in order
+        z = _times_blockdiag(runs, z)  # V Xs V^T: [row x (sorted), row y, a, A]
+        return z.transpose(2, 0, 3, 1)[:, sorted_pos].reshape(d_a * dim, d_a * dim)
 
     return marginal, correction, embed
+
+
+def _times_blockdiag(runs, m: np.ndarray) -> np.ndarray:
+    """V m for the block-diagonal V of ``_sector_blocks`` given by its ``runs``: rows
+    and result rows in sorted order; a complex m is multiplied as pairs of reals."""
+    flat = m.view(np.float64).reshape(len(m), -1)
+    out = np.empty_like(flat)
+    for a, b, stack in runs:
+        shape = (len(stack), stack.shape[1], -1)
+        np.matmul(stack, flat[a:b].reshape(shape), out=out[a:b].reshape(shape))
+    return out.view(m.dtype).reshape(m.shape)
 
 
 def _group_by(keys: np.ndarray) -> dict[int, np.ndarray]:

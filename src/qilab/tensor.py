@@ -17,6 +17,9 @@ SIZE_CAP = 4096
 #: The one slack of every input check: Hermiticity, PSD, traces, sums, probabilities.
 INPUT_TOL = 1e-9
 
+#: Most axes numpy gives one array: 64 from numpy 2.0, 32 before.
+MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
 
 def _as_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
@@ -50,12 +53,15 @@ def _count(x, least: int, name: str) -> int:
     return n
 
 
-def _checked_dim(d: int, n: int = 1, *, state: bool = False) -> int:
-    """d**n for counts d >= 1 and n >= 0 (read by ``_count``) within the cap.
+def _checked_dim(d: int, n: int = 1, *, state: bool = False, axes: int | None = None) -> int:
+    """d**n for counts d >= 1 and n >= 0 (read by ``_count``) within the caps.
 
-    The cap is SIZE_CAP rows for an operator, or SIZE_CAP**2 amplitudes, the
+    The size cap is SIZE_CAP rows for an operator, or SIZE_CAP**2 amplitudes, the
     entry count of the largest operator, for a state vector; a larger size is
-    refused before anything is built, and a huge n before d**n is formed.
+    refused before anything is built, and a huge n before d**n is formed.  The
+    axis cap is MAX_AXES for ``axes``, the most axes the caller lays the n factors
+    out on: n + 1 unless given, as np.indices((d,) * n) takes; only d = 1 gets
+    that far within the size cap.
     """
     d, n = _count(d, 1, "dimension"), _count(n, 0, "n")
     cap = SIZE_CAP**2 if state else SIZE_CAP
@@ -63,6 +69,10 @@ def _checked_dim(d: int, n: int = 1, *, state: bool = False) -> int:
         size = d if n == 1 else f"{d}^{n}"
         what = f"state of {size} amplitudes" if state else f"operator size {size}"
         raise ValueError(f"{what} exceeds cap {SIZE_CAP}{'^2' if state else ''}")
+    axes = n + 1 if axes is None else axes
+    if axes > MAX_AXES:
+        raise ValueError(f"{n} factors of dimension {d} need {axes} array axes, "
+                         f"more than numpy's {MAX_AXES}")
     return d**n
 
 
@@ -204,11 +214,19 @@ def _negative_eigenvalue(m: np.ndarray, tol: float) -> float | None:
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:
-    """``p`` clipped at 0 and divided by its sum if that exceeds 1: entries in [0, 1], a total at most 1
-    up to rounding.  A nonnegative ``p`` summing to at most 1 comes back bit for bit."""
+    """``p`` clipped at 0 and, if its sum exceeds 1, divided by that sum: entries in [0, 1] and a
+    total at most 1.  Where the quotient's sum still rounds above 1, the divisor is raised one
+    float at a time until it does not.  A nonnegative ``p`` summing to at most 1 comes back bit for
+    bit, so a second call returns its input."""
     p = np.clip(p, 0.0, None)
     total = p.sum()
-    return p / total if total > 1 else p
+    if not total > 1:
+        return p
+    q = p / total
+    while q.sum() > 1:  # ends: each quotient, and so the sum, falls as the divisor grows
+        total = np.nextafter(total, math.inf)
+        q = p / total
+    return q
 
 
 def _checked_distribution(p: Sequence[float], name: str, ndim: int = 1) -> np.ndarray:
@@ -292,7 +310,7 @@ def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    d, dim = _strict_int(d), _checked_dim(d, n)
+    d, dim = _strict_int(d), _checked_dim(d, n, axes=2 * n)
     t = np.eye(dim).reshape((d,) * (2 * n))
     # Axis k of the "row" block corresponds to output slot k; pull input
     # slot inv[k] into it.

@@ -289,6 +289,16 @@ def test_cli_library_errors_exit_1_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # only estimation_overlap_exact (qi-cli definetti) needs fractions, which imports decimal
+    src = str(pathlib.Path(q.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qilab.cli; "
+            "print(sorted({'fractions', 'decimal', 'scipy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # --- fuzzing: generated argv for every subcommand ----------------------------
 
 EDGE_INTEGERS = st.sampled_from(["nan", "inf", "-1", "0", "1e308", "1" + "0" * 30, str(-2**63),

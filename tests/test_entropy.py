@@ -408,12 +408,28 @@ def test_typical_projector_rank_is_the_typical_set_size(d, n):
     for _ in range(40):
         rho = q.random_density_matrix(d, rng)
         p = _spectrum(rho)[0]
-        if p.sum() > 1:  # typical_set would normalize p a second time
-            continue
         for delta in type_deviations(p, n)[:6]:
             rank = round(np.trace(q.typical_subspace_projector(rho, n, delta)).real)
             log_size = q.typical_set(p, n, delta).log_size
             assert rank == (0 if log_size == -math.inf else round(2 ** log_size))
+
+
+@pytest.mark.parametrize("excess", [1e-16, 3e-16, 1e-12])
+def test_typical_projector_rank_is_the_typical_set_size_on_a_spectrum_above_1(excess):
+    # a diagonal rho whose eigenvalues sum just above 1: _spectrum divides them once, and
+    # typical_set, normalizing that spectrum again, must read the same vector
+    rng = np.random.default_rng(7)
+    checked = 0
+    for d, n in [(2, 6), (3, 4), (4, 3)] * 20:
+        vals = rng.dirichlet(np.ones(d)) * (1 + excess)
+        rho = q.DensityMatrix(np.diag(vals))
+        p = _spectrum(rho)[0]
+        checked += vals.sum() > 1
+        for delta in type_deviations(p, n)[:6]:
+            rank = round(np.trace(q.typical_subspace_projector(rho, n, delta)).real)
+            log_size = q.typical_set(p, n, delta).log_size
+            assert rank == (0 if log_size == -math.inf else round(2 ** log_size))
+    assert checked >= 4  # spectra that did sum above 1
 
 
 def test_round_off_eigenvalues_of_a_pure_state_read_as_zero():

@@ -101,6 +101,17 @@ REFUSALS = {
         lambda: q.symmetric_purification(q.DensityMatrix(np.eye(6) / 6, (2, 3))), "equal subsystems"),
     "spin_multiplicity_bound(j > n/2)": (lambda: q.spin_multiplicity_bound(4, 3), "out of range"),
     "keyl_werner_estimate([])": (lambda: q.keyl_werner_estimate([], 4), "at least one outcome"),
+    # d = 1 keeps d^n within the size cap for every n, so the axis count refuses it
+    "symmetric_projector(1, 70)": (lambda: q.symmetric_projector(1, 70),
+                                   "^70 factors of dimension 1 need 71 array axes, more than numpy's"),
+    "permutation_operator(1, range(70))": (lambda: q.permutation_operator(1, range(70)),
+                                           "^70 factors of dimension 1 need 140 array axes"),
+    "typical_subspace_projector(d=1, n=70)": (
+        lambda: q.typical_subspace_projector(q.DensityMatrix(np.eye(1)), 70, 0.1),
+        "^70 factors of dimension 1 need 71 array axes"),
+    "k_extendibility(d_B=1, k=70)": (
+        lambda: q.k_extendibility(q.DensityMatrix(np.eye(2) / 2, (2, 1)), 70),
+        "^70 factors of dimension 1 need 71 array axes"),
     # separability, serialize, chsh
     "bcy_inequality_check(three parties)": (
         lambda: q.bcy_inequality_check(q.ghz_state().density(), np.eye(8), 2), "bipartite"),

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qilab as q
-from qilab.schur import _affine_maps, _partitions, _schur_weyl_basis, _semistandard_indices
+from qilab.schur import (
+    _affine_maps,
+    _aligned_copies,
+    _partitions,
+    _permutation_average,
+    _schur_weyl_basis,
+    _sector_blocks,
+    _semistandard_indices,
+)
 from qilab.states import PAULI_X, PAULI_Y, PAULI_Z
 from qilab.tensor import basis_digits, permutation_operator, swap_operator, tensor
 from tests_helpers_schur import (
@@ -365,6 +373,87 @@ def test_schur_weyl_basis_splits_the_tensor_power(d, k):
     assert np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1]))) <= 1e-13
     for l, q_l in enumerate(q_dims):
         assert not np.any(w[l, :, q_l:])  # padding columns
+
+
+def copies_of(d, k):
+    """The aligned copies of each Q_lam, one (d^k, f_lam, q_lam) array per lam."""
+    f, fills, w = _schur_weyl_basis(d, k)
+    out = []
+    for l, fill in enumerate(fills):
+        copies = np.empty((d**k, f[l], fill.size))
+        copies[:, 0] = w[l, :, :fill.size]
+        _aligned_copies(d, k, copies)
+        out.append(copies)
+    return f, out
+
+
+@pytest.mark.parametrize("d,k", BASIS_SHAPES + [(1, 5), (3, 1)])
+def test_aligned_copies_are_an_orthonormal_basis_of_the_tensor_power(d, k):
+    f, copies = copies_of(d, k)
+    assert [c.shape[1] for c in copies] == list(f)  # exactly f_lam copies of each Q_lam
+    assert sum(c.shape[1] * c.shape[2] for c in copies) == d**k
+    cols = np.hstack([c.reshape(d**k, -1) for c in copies])
+    assert np.max(np.abs(cols.T @ cols - np.eye(d**k))) <= 1e-13
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 5), (3, 3), (2, 6), (3, 4), (4, 3)])
+def test_aligned_copies_are_aligned(d, k):
+    # Schur's lemma: a permutation pi acts as I x pi on Q_lam x P_lam, so between aligned
+    # copies C_i^T pi C_j is a multiple of the identity, for every pi and not just the first column
+    _, copies = copies_of(d, k)
+    for perm in [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)]:
+        p = permutation_operator(d, perm).real
+        for c in copies:
+            q_l = c.shape[2]
+            for i, j in itertools.product(range(c.shape[1]), repeat=2):
+                overlap = c[:, i].T @ p @ c[:, j]
+                assert np.max(np.abs(overlap - overlap[0, 0] * np.eye(q_l))) <= 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 4), (3, 3), (2, 7), (4, 3), (16, 2)])
+def test_sector_blocks_are_the_copies_block_diagonal_by_weight(d, k):
+    f, fills, w = _schur_weyl_basis(d, k)
+    runs, cols, sorted_pos = _sector_blocks(d, k, f, fills, w)
+    v = np.zeros((d**k, d**k))
+    for a, b, stack in runs:  # V with rows and columns in sorted order
+        cnt, m, _ = stack.shape
+        assert (b - a) == cnt * m
+        for c in range(cnt):
+            v[a + c * m:a + (c + 1) * m, a + c * m:a + (c + 1) * m] = stack[c]
+    _, copies = copies_of(d, k)
+    for l, copy in enumerate(copies):
+        # column s of copy i sits at cols[l][i, s]; its rows, in string order, are copy[:, i, s]
+        assert np.max(np.abs(v[sorted_pos][:, cols[l]] - copy)) <= 1e-14
+    assert sorted(np.concatenate([c.ravel() for c in cols])) == list(range(d**k))
+    assert sorted(sorted_pos) == list(range(d**k))
+
+
+def permutation_average_by_copies(t, slots, sign=1):
+    """The coset-sum average with a copy and a scaled temporary per term."""
+    for j in range(1, len(slots)):
+        acc = t.copy()
+        for i in range(j):
+            axes = list(range(t.ndim))
+            for a, b in zip(slots[i], slots[j]):
+                axes[a], axes[b] = b, a
+            acc += sign * t.transpose(axes)
+        acc /= j + 1
+        t = acc
+    return t
+
+
+@pytest.mark.parametrize("shape,slots", [((3, 3, 3, 3), [(0, 2), (1, 3)]),
+                                         ((2,) * 8, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+                                         ((3,) * 6 + (4,), [(0,), (1,), (2,), (4,)]),
+                                         ((2, 3, 3, 3) * 2, [(1, 5), (2, 6), (3, 7)])])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_permutation_average_in_place_is_bitwise_the_copying_sum(shape, slots, sign):
+    rng = np.random.default_rng(len(shape))
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = permutation_average_by_copies(t, slots, sign)
+    assert _permutation_average(t, slots, sign).tobytes() == want.tobytes()
+    assert _permutation_average(t.real, slots, sign).tobytes() == \
+        permutation_average_by_copies(t.real, slots, sign).tobytes()
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 7) for k in range(1, 9) if d**k <= 4096])

@@ -504,6 +504,23 @@ def test_marginal_of_correction_is_inverted_by_marginal_inverse(d_a, d_b, k):
         assert np.max(np.abs(_marginal_power(marginal(correction(delta)), k, -1) - delta)) <= 1e-12
 
 
+@pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS + [(2, 4, 4), (2, 2, 6), (2, 3, 5)])
+def test_embed_matches_the_permutation_average(d_a, d_b, k):
+    # embed(X) = sum_lam f_lam sym(W_lam X_lam W_lam^T), sym the average over B permutations
+    rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)
+    f, _, w = _schur_weyl_basis(d_b, k)
+    n, dim, q_max = w.shape
+    embed = _affine_maps(d_b, k)[2]
+    x = random_blocks(d_a, d_b, k, rng)
+    for blocks in (x, x.real.copy()):
+        full = np.einsum("lxs,lasAt,lyt->axAy", w * f[:, None, None],
+                         blocks.reshape(n, d_a, q_max, d_a, q_max), w, optimize=True)
+        want = symmetrize_b(full.reshape(d_a * dim, d_a * dim), d_a, d_b, k)
+        got = embed(blocks)
+        assert got.dtype == blocks.dtype
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("d_a,d_b,k", AFFINE_CELLS + [(2, 4, 4)])
 def test_padding_is_never_read(d_a, d_b, k):
     rng = np.random.default_rng(d_a * 100 + d_b * 10 + k)

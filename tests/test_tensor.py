@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qilab as q
+from qilab.separability import FeasStatus
 from qilab.tensor import (
+    MAX_AXES,
     SIZE_CAP,
     EigDecomposition,
     _check_dims,
@@ -318,8 +320,26 @@ def test_checked_power_boundaries():
     with pytest.raises(ValueError, match="exceeds cap 4096"):
         _checked_dim(10**6, 10**6)
     assert time.perf_counter() - start < 1.0
-    assert _checked_dim(1, 10**18) == 1
-    assert _checked_dim(1, 10**18, state=True) == 1
+    # d = 1 keeps d^n = 1 for every n; the axes of the caller's arrays bound n instead
+    assert _checked_dim(1, MAX_AXES - 1) == 1
+    assert _checked_dim(1, MAX_AXES - 1, state=True) == 1
+    assert _checked_dim(1, MAX_AXES // 2, axes=MAX_AXES) == 1
+    for n, axes in [(MAX_AXES, None), (10**18, None), (MAX_AXES // 2 + 1, MAX_AXES + 2)]:
+        with pytest.raises(ValueError, match=f"need {axes or n + 1} array axes, more than numpy's {MAX_AXES}$"):
+            _checked_dim(1, n, axes=axes)
+    with pytest.raises(ValueError, match="array axes"):
+        _checked_dim(1, 10**18, state=True)
+
+
+def test_d1_calls_within_the_axis_cap_still_return():
+    n = MAX_AXES - 1  # np.indices((1,) * n) takes n + 1 axes
+    assert np.array_equal(q.symmetric_projector(1, n), [[1]])
+    assert np.array_equal(q.permutation_operator(1, range(MAX_AXES // 2)), [[1]])
+    assert np.array_equal(q.typical_subspace_projector(q.DensityMatrix(np.eye(1)), n, 0.1), [[1]])
+    rho = q.DensityMatrix(np.eye(2) / 2, (2, 1))
+    rep = q.k_extendibility(rho, n)
+    assert rep.status is FeasStatus.FEASIBLE
+    assert np.array_equal(rep.extension, rho.mat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,10 +474,20 @@ def test_normalized_clips_and_scales_down_only_an_excess(v, scale):
     p = np.array(v)
     out = _normalized(p)
     assert np.all((out >= 0) & (out <= 1))
-    # one division per entry rounds each by at most half an ulp
-    assert out.sum() <= 1 + len(p) * np.finfo(float).eps
+    assert out.sum() <= 1
     np.random.default_rng(0).multinomial(5, out)  # numpy accepts it as pvals
     nonneg = np.abs(p)
     nonneg = nonneg * (scale / nonneg.sum()) if nonneg.sum() > 1 else nonneg
     if nonneg.sum() <= 1:
         assert _normalized(nonneg).tobytes() == nonneg.tobytes()
+
+
+@pytest.mark.parametrize("excess", [0.0, 1e-16, 3e-16, 1e-12])
+def test_normalized_is_idempotent(excess):
+    # dividing by a sum just above 1 can leave a sum just above 1; a second call must not divide again
+    rng = np.random.default_rng(0)
+    for length in range(2, 9):
+        for v in rng.dirichlet(np.ones(length), size=25_000 // 7 + 1) * (1 + excess):
+            once = _normalized(v)
+            assert once.sum() <= 1
+            assert _normalized(once).tobytes() == once.tobytes()
