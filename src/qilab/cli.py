@@ -238,70 +238,40 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include elapsed milliseconds (breaks byte determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ppt", help="partial-transpose spectrum test")
-    p.add_argument("--state", required=True)
-    p.add_argument("--cut", type=int, default=0)
-    p.set_defaults(handler=_cmd_ppt)
-
-    p = sub.add_parser("witness", help="evaluate a built-in two-qubit witness")
-    p.add_argument("--state", required=True)
-    p.add_argument("--witness", choices=("flip", "chsh"), default="flip")
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("extend", help="k-extendibility by alternating projections")
-    p.add_argument("--state", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_extend)
-
-    p = sub.add_parser("chsh", help="classical and quantum CHSH optima")
-    p.set_defaults(handler=_cmd_chsh)
-
-    p = sub.add_parser("classify3q", help="three-qubit SLOCC class")
-    p.add_argument("--state", required=True)
-    p.set_defaults(handler=_cmd_classify3q)
-
-    p = sub.add_parser("marginal3q", help="one-body marginal compatibility")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.set_defaults(handler=_cmd_marginal3q)
-
-    p = sub.add_parser("teleport", help="teleport a qubit through |Phi+>")
-    p.add_argument("--state")
-    p.set_defaults(handler=_cmd_teleport)
-
-    p = sub.add_parser("compress", help="fixed-rate compression simulation")
-    p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(handler=_cmd_compress)
-
-    p = sub.add_parser("entropy", help="entropic measures of a state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--parties", help="e.g. 0/1 or 0/1/2 or 0,1/2")
-    p.set_defaults(handler=_cmd_entropy)
-
-    p = sub.add_parser("definetti", help="symmetric-subspace overlap and error bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_definetti)
-
-    p = sub.add_parser("spectrum", help="total-spin outcome distribution")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("datahiding", help="Werner-pair hiding bias bounds")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_datahiding)
-
-    p = sub.add_parser("motzkin", help="clique number vs quadratic optimum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--edges", required=True, help='e.g. "0-1,1-2,0-2"')
-    p.set_defaults(handler=_cmd_motzkin)
-
+    # one row per subcommand: (name, help, handler, [(flag, add_argument keywords)]);
+    # built per call, so that a handler replaced on the module after import is used
+    state = ("--state", {"required": True})
+    integer, real = {"type": int, "required": True}, {"type": float, "required": True}
+    commands = [
+        ("ppt", "partial-transpose spectrum test", _cmd_ppt,
+         [state, ("--cut", {"type": int, "default": 0})]),
+        ("witness", "evaluate a built-in two-qubit witness", _cmd_witness,
+         [state, ("--witness", {"choices": ("flip", "chsh"), "default": "flip"})]),
+        ("extend", "k-extendibility by alternating projections", _cmd_extend,
+         [state, ("--k", integer)]),
+        ("chsh", "classical and quantum CHSH optima", _cmd_chsh, []),
+        ("classify3q", "three-qubit SLOCC class", _cmd_classify3q, [state]),
+        ("marginal3q", "one-body marginal compatibility", _cmd_marginal3q,
+         [("--a", real), ("--b", real), ("--c", real)]),
+        ("teleport", "teleport a qubit through |Phi+>", _cmd_teleport, [("--state", {})]),
+        ("compress", "fixed-rate compression simulation", _cmd_compress,
+         [("--p0", real), ("--n", {"type": int, "default": 1000}), ("--rate", real),
+          ("--trials", {"type": int, "default": 200})]),
+        ("entropy", "entropic measures of a state", _cmd_entropy,
+         [state, ("--parties", {"help": "e.g. 0/1 or 0/1/2 or 0,1/2"})]),
+        ("definetti", "symmetric-subspace overlap and error bound", _cmd_definetti,
+         [("--d", integer), ("--n", integer), ("--k", integer)]),
+        ("spectrum", "total-spin outcome distribution", _cmd_spectrum,
+         [("--r", real), ("--n", integer)]),
+        ("datahiding", "Werner-pair hiding bias bounds", _cmd_datahiding, [("--d", integer)]),
+        ("motzkin", "clique number vs quadratic optimum", _cmd_motzkin,
+         [("--n", integer), ("--edges", {"required": True, "help": 'e.g. "0-1,1-2,0-2"'})]),
+    ]
+    for name, help_text, handler, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -237,11 +237,9 @@ def typical_mass_lower_bound(p: Sequence[float], n: int, delta: float) -> float:
     """Chebyshev guarantee: mass >= 1 - Var[log2 p(X)] / (n delta^2); its limit where
     n delta^2 underflows to 0: -inf, or 1 at zero variance (every string typical)."""
     p, n = _checked_distribution(p, "p"), _count(n, 1, "n")
-    if not delta > 0:  # also rejects NaN
-        raise ValueError("need delta > 0")
+    mean = _typicality(p, n, delta)[0]  # H(p), the mean surprisal
     nz = p[p > 0]
     logs = -np.log2(nz)
-    mean = _entropy_bits(p)  # H(p), the mean surprisal
     # equal probabilities have zero variance, which these sums would miss by round-off
     var = 0.0 if np.ptp(logs) == 0 else float(np.sum(nz * logs**2) - mean**2)
     if n * delta * delta == 0:

@@ -12,7 +12,7 @@ import numpy as np
 from .entropy import _entropy_bits
 from .states import I2, PAULI_X, PAULI_Z, PureState, bell_basis, phi_plus
 from .tensor import (_amplitude_matrix, _checked_distribution, _count, _is_scalar, _normalized,
-                     _operator_on, _strict_int, _subsystems, tensor)
+                     _operator_on, _strict_int, _subsystems)
 
 RANK_TOL = 1e-7
 HYPERDET_TOL = 1e-9
@@ -163,8 +163,11 @@ def slocc_apply(ops: Sequence[np.ndarray], psi: PureState) -> PureState:
     """Apply local invertible operators and renormalize."""
     if _is_scalar(ops) or len(ops) != len(psi.dims):
         raise ValueError("one operator per subsystem is required")
-    big = tensor(*(_operator_on(op, d) for op, d in zip(ops, psi.dims)))
-    v = big @ psi.amps
+    mats = [_operator_on(op, d) for op, d in zip(ops, psi.dims)]
+    t = psi.amps.reshape(psi.dims)
+    for k, m in enumerate(mats):  # on axis k alone: the d^n x d^n product is never formed
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, k)), 0, k)
+    v = t.reshape(-1)
     nrm = np.linalg.norm(v)
     if nrm < 1e-12:
         raise ValueError("operators annihilate the state")

@@ -45,10 +45,14 @@ def _npt_certified(rho: DensityMatrix, lo: float) -> bool:
     return lo < -1e-10 - float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(rho.mat), 0.0)))
 
 
+def _pt_eig(rho: DensityMatrix, transpose_on: Sequence[int] | int):
+    """``hermitian_eig`` of rho's partial transpose on ``transpose_on``."""
+    return hermitian_eig(partial_transpose(rho.mat, rho.dims, transpose_on))
+
+
 def ppt_check(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> PptVerdict:
     """Partial-transpose spectrum test; entanglement is certified by ``_npt_certified``."""
-    pt = partial_transpose(rho.mat, rho.dims, transpose_on)
-    spec = hermitian_eig(pt).eigenvalues
+    spec = _pt_eig(rho, transpose_on).eigenvalues
     lo = float(spec[-1])
     return PptVerdict(not _npt_certified(rho, lo), lo, spec)
 
@@ -80,8 +84,7 @@ def chsh_witness() -> np.ndarray:
 def eigen_witness(rho: DensityMatrix, transpose_on: Sequence[int] | int = 0) -> np.ndarray:
     """Witness (|v><v|)^T_A from the most negative eigenvector of rho^T_A, for a state
     ``ppt_check`` finds not PPT."""
-    pt = partial_transpose(rho.mat, rho.dims, transpose_on)
-    eig = hermitian_eig(pt)
+    eig = _pt_eig(rho, transpose_on)
     if not _npt_certified(rho, eig.eigenvalues[-1]):
         raise ValueError("state is PPT; no negative eigenvector to build from")
     v = eig.eigenvectors[:, -1]

@@ -231,6 +231,7 @@ def naimark_dilate(povm: Povm) -> NaimarkDilation:
     basis then reproduces the Born statistics of the POVM.
     """
     d, m = povm.dim, len(povm)
+    _checked_dim(d * m)
     v = np.zeros((d * m, d), dtype=complex)
     for i, q in enumerate(povm.elements):
         v[i::m, :] = _psd_sqrt(q)  # rows of block i (ancilla value i) read sqrt(Q_i)
@@ -242,23 +243,27 @@ def naimark_dilate(povm: Povm) -> NaimarkDilation:
     return NaimarkDilation(u, projs, d, m)
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """The output state; it keeps rho's subsystem split when its dimension is rho's."""
+def _kraus_images(channel: KrausChannel, rho: DensityMatrix):
+    """The output dims, rho's when the channel keeps its dimension, else None, and the
+    images K rho K^dag, one per Kraus operator as they are read."""
     if channel.dim_in != rho.dim:
         raise ValueError("channel / state dimension mismatch")
     dims = rho.dims if channel.dim_out == rho.dim else None
-    return DensityMatrix(sum(k @ rho.mat @ k.conj().T for k in channel.kraus), dims)
+    return dims, (k @ rho.mat @ k.conj().T for k in channel.kraus)
+
+
+def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """The output state; it keeps rho's subsystem split when its dimension is rho's."""
+    dims, images = _kraus_images(channel, rho)
+    return DensityMatrix(sum(images), dims)
 
 
 def quantum_instrument(channel: KrausChannel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
     """Per-Kraus branches (p_i, E_i rho E_i^dag / p_i), skipping p_i ~ 0; dims as in
     ``apply_channel``."""
-    if channel.dim_in != rho.dim:
-        raise ValueError("channel / state dimension mismatch")
-    dims = rho.dims if channel.dim_out == rho.dim else None
+    dims, images = _kraus_images(channel, rho)
     branches = []
-    for k in channel.kraus:
-        out = k @ rho.mat @ k.conj().T
+    for out in images:
         p = float(np.trace(out).real)
         if p > ZERO_PROB:
             branches.append((p, DensityMatrix(out / p, dims)))
@@ -399,16 +404,21 @@ def tetrahedron_povm() -> Povm:
 # random sampling helpers (deterministic given the generator)
 # ---------------------------------------------------------------------------
 
-def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> PureState:
+def _sampled_dims(dims: Sequence[int] | int, state: bool) -> tuple[tuple, int]:
+    """``dims`` as a tuple, one count standing for one system, and the size of their
+    space within the cap of a state (``state``) or of an operator."""
     dims = (dims,) if _is_scalar(dims) else tuple(dims)
-    d = _checked_dim(math.prod(_strict_int(x) for x in dims), state=True)
+    return dims, _checked_dim(math.prod(_strict_int(x) for x in dims), state=state)
+
+
+def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> PureState:
+    dims, d = _sampled_dims(dims, state=True)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v), dims)
 
 
 def random_density_matrix(dims: Sequence[int] | int, rng: np.random.Generator) -> DensityMatrix:
-    dims = (dims,) if _is_scalar(dims) else tuple(dims)
-    d = _checked_dim(math.prod(_strict_int(x) for x in dims))
+    dims, d = _sampled_dims(dims, state=False)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, dims)

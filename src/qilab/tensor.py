@@ -123,12 +123,21 @@ def _check_dims(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices (or vectors)."""
+    """Kronecker product of one or more matrices (or vectors).
+
+    A vector result is capped as a state's amplitudes, a matrix result's rows
+    and columns as an operator's; a larger result is refused before it is built.
+    """
     if not ops:
         raise ValueError("tensor() needs at least one operand")
-    out = np.asarray(ops[0], dtype=complex)
+    ops = [np.asarray(op, dtype=complex) for op in ops]
+    ndim = max(op.ndim for op in ops)
+    shapes = [(1,) * (ndim - op.ndim) + op.shape for op in ops]  # as np.kron pads them
+    for size in map(math.prod, zip(*shapes)):
+        _checked_dim(size, state=ndim == 1)
+    out = ops[0]
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        out = np.kron(out, op)
     return out
 
 
@@ -325,9 +334,10 @@ def basis_digits(d: int, n: int) -> np.ndarray:
     """Digits of every basis index of (C^d)^{x n}, shape (n, d^n).
 
     Column k holds the big-endian base-d digits of index k, so row 0 is the
-    leftmost subsystem.
+    leftmost subsystem.  d^n is capped as an operator's size.
     """
-    return np.indices((d,) * n).reshape(n, d**n)
+    dim = _checked_dim(d, n)
+    return np.indices((d,) * n).reshape(n, dim)
 
 
 def swap_operator(d: int) -> np.ndarray:

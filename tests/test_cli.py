@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qilab as q
-from qilab.cli import main
+from qilab.cli import build_parser, main
 from qilab.serialize import (
     FormatError,
     matrix_from_json,
@@ -299,6 +300,57 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert proc.stdout.strip() == "[]"
 
 
+# --- the CLI surface: every subcommand and option as qi-cli has declared them --------
+
+STATE = ("--state", "state", None, True, None, None, None)
+
+
+def required(flag, type_):
+    return (flag, flag[2:], type_, True, None, None, None)
+
+
+# (name, help, handler, [(flag, dest, type, required, default, choices, help)])
+CLI_SURFACE = [
+    ("ppt", "partial-transpose spectrum test", "_cmd_ppt",
+     [STATE, ("--cut", "cut", int, False, 0, None, None)]),
+    ("witness", "evaluate a built-in two-qubit witness", "_cmd_witness",
+     [STATE, ("--witness", "witness", None, False, "flip", ("flip", "chsh"), None)]),
+    ("extend", "k-extendibility by alternating projections", "_cmd_extend", [STATE, required("--k", int)]),
+    ("chsh", "classical and quantum CHSH optima", "_cmd_chsh", []),
+    ("classify3q", "three-qubit SLOCC class", "_cmd_classify3q", [STATE]),
+    ("marginal3q", "one-body marginal compatibility", "_cmd_marginal3q",
+     [required("--a", float), required("--b", float), required("--c", float)]),
+    ("teleport", "teleport a qubit through |Phi+>", "_cmd_teleport",
+     [("--state", "state", None, False, None, None, None)]),
+    ("compress", "fixed-rate compression simulation", "_cmd_compress",
+     [required("--p0", float), ("--n", "n", int, False, 1000, None, None), required("--rate", float),
+      ("--trials", "trials", int, False, 200, None, None)]),
+    ("entropy", "entropic measures of a state", "_cmd_entropy",
+     [STATE, ("--parties", "parties", None, False, None, None, "e.g. 0/1 or 0/1/2 or 0,1/2")]),
+    ("definetti", "symmetric-subspace overlap and error bound", "_cmd_definetti",
+     [required("--d", int), required("--n", int), required("--k", int)]),
+    ("spectrum", "total-spin outcome distribution", "_cmd_spectrum",
+     [required("--r", float), required("--n", int)]),
+    ("datahiding", "Werner-pair hiding bias bounds", "_cmd_datahiding", [required("--d", int)]),
+    ("motzkin", "clique number vs quadratic optimum", "_cmd_motzkin",
+     [required("--n", int), ("--edges", "edges", None, True, None, None, 'e.g. "0-1,1-2,0-2"')]),
+]
+
+
+def parser_subcommands():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_cli_surface_is_unchanged():
+    sub = parser_subcommands()
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = [(name, helps[name], p.get_default("handler").__name__,
+                [(" ".join(a.option_strings), a.dest, a.type, a.required, a.default, a.choices, a.help)
+                 for a in p._actions if not isinstance(a, argparse._HelpAction)])
+               for name, p in sub.choices.items()]
+    assert surface == CLI_SURFACE
+
+
 # --- fuzzing: generated argv for every subcommand ----------------------------
 
 EDGE_INTEGERS = st.sampled_from(["nan", "inf", "-1", "0", "1e308", "1" + "0" * 30, str(-2**63),
@@ -340,35 +392,43 @@ def fuzz_dir(tmp_path_factory):
     return tmp
 
 
+FUZZ_STATE = (st.sampled_from(sorted(FUZZ_STATES)).map("{{dir}}/{}.json".format),
+              st.sampled_from(sorted(FUZZ_BAD_FILES) + ["missing"]).map("{{dir}}/{}.json".format))
+FUZZ_TEXT = st.text(alphabet="0123456789-,/ x", max_size=16)
+MOTZKIN_N = st.shared(st.integers(1, 20), key="motzkin n")  # one n per request: edges inside 0..n-1
+MOTZKIN_EDGES = MOTZKIN_N.flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda e: f"{e[0]}-{e[1]}"),
+    max_size=40).map(",".join))
+# subcommand: [(option, (good values, edge values))]; every subcommand of the parser has a row
+FUZZ_COMMANDS = {
+    "ppt": [("--state", FUZZ_STATE), ("--cut", integers(0, 1))],
+    "witness": [("--state", FUZZ_STATE), ("--witness", (st.sampled_from(["flip", "chsh"]), FUZZ_TEXT))],
+    "extend": [("--state", FUZZ_STATE), ("--k", integers(2, 3))],
+    "chsh": [],
+    "classify3q": [("--state", FUZZ_STATE)],
+    "marginal3q": [("--a", reals(0.5, 1)), ("--b", reals(0.5, 1)), ("--c", reals(0.5, 1))],
+    "teleport": [("--state", FUZZ_STATE)],
+    "compress": [("--p0", reals(0.01, 0.99)), ("--n", integers(1, 200)),
+                 ("--rate", reals(0, 2)), ("--trials", integers(1, 50))],
+    "entropy": [("--state", FUZZ_STATE),
+                ("--parties", (st.sampled_from(["0/1", "0/1/2", "0,1/2", "1/0"]), FUZZ_TEXT))],
+    "definetti": [("--d", integers(1, 50)), ("--n", integers(1, 500)), ("--k", integers(0, 50))],
+    "spectrum": [("--r", reals(0, 0.5)), ("--n", integers(0, 64))],
+    "datahiding": [("--d", integers(2, 40))],
+    "motzkin": [("--n", (MOTZKIN_N.map(str), EDGE_INTEGERS)), ("--edges", (MOTZKIN_EDGES, FUZZ_TEXT))],
+}
+
+
+def test_cli_fuzz_table_covers_every_subcommand():
+    assert sorted(FUZZ_COMMANDS) == sorted(parser_subcommands().choices)
+
+
 @st.composite
 def cli_argv(draw):
     """A request whose options are drawn from cheap ranges, except that one
     of them (or none) is given an edge value or left out."""
-    n = draw(st.integers(1, 20))  # motzkin: edges inside 0..n-1, or free text
-    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda e: f"{e[0]}-{e[1]}")
-    state = (st.sampled_from(sorted(FUZZ_STATES)).map("{{dir}}/{}.json".format),
-             st.sampled_from(sorted(FUZZ_BAD_FILES) + ["missing"]).map("{{dir}}/{}.json".format))
-    text = st.text(alphabet="0123456789-,/ x", max_size=16)
-    commands = {
-        "ppt": [("--state", state), ("--cut", integers(0, 1))],
-        "witness": [("--state", state), ("--witness", (st.sampled_from(["flip", "chsh"]), text))],
-        "extend": [("--state", state), ("--k", integers(2, 3))],
-        "chsh": [],
-        "classify3q": [("--state", state)],
-        "marginal3q": [("--a", reals(0.5, 1)), ("--b", reals(0.5, 1)), ("--c", reals(0.5, 1))],
-        "teleport": [("--state", state)],
-        "compress": [("--p0", reals(0.01, 0.99)), ("--n", integers(1, 200)),
-                     ("--rate", reals(0, 2)), ("--trials", integers(1, 50))],
-        "entropy": [("--state", state),
-                    ("--parties", (st.sampled_from(["0/1", "0/1/2", "0,1/2", "1/0"]), text))],
-        "definetti": [("--d", integers(1, 50)), ("--n", integers(1, 500)), ("--k", integers(0, 50))],
-        "spectrum": [("--r", reals(0, 0.5)), ("--n", integers(0, 64))],
-        "datahiding": [("--d", integers(2, 40))],
-        "motzkin": [("--n", (st.just(str(n)), EDGE_INTEGERS)),
-                    ("--edges", (st.lists(edge, max_size=40).map(",".join), text))],
-    }
-    command = draw(st.sampled_from(sorted(commands)))
-    options = [("--seed", integers(-5, 5))] + commands[command]
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    options = [("--seed", integers(-5, 5))] + FUZZ_COMMANDS[command]
     spoilt = draw(st.sampled_from([None] + [flag for flag, _ in options]))
     argv = []
     for flag, (good, edge) in options:

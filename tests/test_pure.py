@@ -97,6 +97,22 @@ def test_slocc_apply():
         q.slocc_apply([killer], one)
 
 
+def test_slocc_apply_matches_the_kronecker_product():
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        for _ in range(5):
+            dims = tuple(int(d) for d in rng.integers(1, 4, size=n))
+            psi = q.random_pure_state(dims, rng)
+            ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+            big = ops[0]
+            for op in ops[1:]:
+                big = np.kron(big, op)
+            v = big @ psi.amps
+            out = q.slocc_apply(ops, psi)
+            assert out.dims == dims
+            assert np.max(np.abs(out.amps - v / np.linalg.norm(v))) <= 1e-12
+
+
 def test_hyperdeterminant_values():
     assert q.hyperdeterminant(q.ghz_state()) == pytest.approx(0.25, abs=1e-12)
     assert abs(q.hyperdeterminant(q.w_state())) < 1e-14

@@ -14,7 +14,7 @@ import pytest
 import qilab as q
 from qilab.cli import main
 from qilab.serialize import matrix_to_json
-from qilab.tensor import trace_distance, trace_norm
+from qilab.tensor import basis_digits, trace_distance, trace_norm
 
 QUTRIT = np.eye(3) / 3
 M23 = np.eye(6) / 6  # an operator on C^2 x C^3
@@ -26,6 +26,12 @@ HUGE4[0, 1] = HUGE4[1, 0] = 1.7e308  # Hermitian, with a Hermitian part that ove
 REFUSALS = {
     # tensor
     "tensor()": (lambda: q.tensor(), "at least one operand"),
+    "tensor(two 65 x 65)": (lambda: q.tensor(np.eye(65), np.eye(65)),
+                            "^operator size 4225 exceeds cap 4096$"),
+    "tensor(two 4097-vectors)": (lambda: q.tensor(np.ones(4097), np.ones(4097)),
+                                 r"^state of 16785409 amplitudes exceeds cap 4096\^2$"),
+    "basis_digits(2, 13)": (lambda: basis_digits(2, 13), r"^operator size 2\^13 exceeds cap 4096$"),
+    "basis_digits(1, 64)": (lambda: basis_digits(1, 64), "^64 factors of dimension 1 need 65 array axes"),
     "trace_norm(vector)": (lambda: trace_norm(np.ones(3)), "expected a matrix"),
     "trace_distance(shape mismatch)": (lambda: trace_distance(np.eye(2) / 2, QUTRIT), "shape mismatch"),
     "trace_norm(sum overflows)": (lambda: trace_norm(np.diag([1e308, 1e308])), "trace norm overflows"),
@@ -213,6 +219,8 @@ REFUSALS = {
     "NaimarkDilation.probabilities(two qubits)": (
         lambda: q.naimark_dilate(q.tetrahedron_povm()).probabilities(q.noisy_epr(0.5)),
         "^POVM / state dimension mismatch$"),
+    "naimark_dilate(65 outcomes on C^64)": (lambda: q.naimark_dilate(q.Povm([np.eye(64) / 65] * 65)),
+                                            "^operator size 4160 exceeds cap 4096$"),
     "slocc_apply(3 x 3 on a qubit)": (
         lambda: q.slocc_apply([np.eye(3), np.eye(2)], q.phi_plus()),
         r"^operator of shape \(3, 3\) does not act on a state of dimension 2$"),
