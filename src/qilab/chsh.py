@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import PAULI_X, PAULI_Z, PureState, phi_plus
-from .tensor import INPUT_TOL, _count, _hermitian, tensor
+from .tensor import INPUT_TOL, _checked_dim, _count, _hermitian, tensor
 
 CLASSICAL_OPTIMUM = 0.75
 QUANTUM_OPTIMUM = math.cos(math.pi / 8) ** 2  # 1/2 + 1/(2 sqrt 2)
@@ -140,7 +140,7 @@ def chsh_optimize(starts: int = 32, seed: int = 0,
     stops once a sweep gains less than SWEEP_TOL, or after MAX_SWEEPS sweeps.
     ``value`` is the win probability of the returned strategy.
     """
-    starts = _count(starts, 1, "starts")
+    starts = _checked_dim(_count(starts, 1, "starts"), per=112, name="starts")  # 1.7 kB of probes each
     rng = np.random.default_rng(seed)
     params = rng.uniform(0, math.pi, size=(starts, 5))
     if product_state:

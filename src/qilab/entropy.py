@@ -18,7 +18,6 @@ from .tensor import (_checked_dim, _checked_distribution, _count, _normalized, _
 LN2 = math.log(2.0)
 ENUMERATION_CAP = 2**22
 MC_BATCH = 4096  # rows per multinomial draw in typical_set: bounded memory, the per-sample stream
-TYPE_CLASS_CAP = 2**15  # compression_trial keeps n log2(d)-bit sizes per class: 260 MB at n = 2^15 - 1
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -260,7 +259,6 @@ def typical_subspace_projector(rho: DensityMatrix, n: int, delta: float) -> np.n
     p, vecs = _spectrum(rho)
     typical = _typicality(p, n, delta)[1]
     d = rho.dim
-    _checked_dim(d, n)
     digits = basis_digits(d, n)
     counts = (digits == np.arange(d)[:, None, None]).sum(axis=1, dtype=np.int16)  # (d, d^n); counts <= n
     keep = typical(counts.T)
@@ -298,9 +296,11 @@ def compression_trial(p: Sequence[float], n: int, rate: float,
     d, n, trials = len(p), _count(n, 1, "n"), _count(trials, 1, "trials")
     if not 0 <= rate < math.inf:  # also rejects NaN
         raise ValueError("rate must be finite and nonnegative")
-    # C(n + d - 1, d - 1) >= 2^min(n, d - 1), so a count that long is refused before it is formed
-    if min(n, d - 1) > TYPE_CLASS_CAP.bit_length() or math.comb(n + d - 1, d - 1) > TYPE_CLASS_CAP:
-        raise ValueError(f"{d} symbols at block length {n} make more than {TYPE_CLASS_CAP} type classes")
+    # a class: two ints below d^n (30-bit digits in 4 bytes), <= 320 + 16 d bytes of objects, in 16-byte
+    # entries; n > 2^24 never fits, so the float reads at most that; C(n + d - 1, k) >= 2^k is bounded first
+    per, k = 20 + d + -(-math.ceil(min(n, 2**24) * math.log2(d)) // 60), min(n, d - 1)
+    _checked_dim(2, k, per=per, name="or more type classes")
+    _checked_dim(math.comb(n + d - 1, k), per=per, name="type classes")
     types = [(t, size) for t, size in _iter_types(n, d)
              if not any(t[i] > 0 and p[i] == 0 for i in range(d))]
     types.sort(key=lambda ts: -sum(ts[0][i] * math.log(p[i]) for i in range(d) if ts[0][i]))

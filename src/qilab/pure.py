@@ -166,7 +166,7 @@ def slocc_apply(ops: Sequence[np.ndarray], psi: PureState) -> PureState:
     mats = [_operator_on(op, d) for op, d in zip(ops, psi.dims)]
     t = psi.amps.reshape(psi.dims)
     for k, m in enumerate(mats):  # on axis k alone: the d^n x d^n product is never formed
-        t = np.moveaxis(np.tensordot(m, t, axes=(1, k)), 0, k)
+        t = np.moveaxis(np.tensordot(m, t, (1, k)), 0, k)
     v = t.reshape(-1)
     nrm = np.linalg.norm(v)
     if nrm < 1e-12:

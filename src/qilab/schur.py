@@ -35,9 +35,8 @@ def symmetric_projector(d: int, n: int) -> np.ndarray:
     squared class sizes.
     """
     d, n = _strict_int(d), _strict_int(n)
-    dim = _checked_dim(d, n)
     key = np.sort(basis_digits(d, n), axis=0).T @ d ** np.arange(n - 1, -1, -1)
-    proj = np.zeros((dim, dim), dtype=complex)
+    proj = np.zeros((key.size, key.size), dtype=complex)
     for idx in _group_by(key).values():
         proj[np.ix_(idx, idx)] = 1.0 / idx.size
     return proj
@@ -210,7 +209,7 @@ def _aligned_copies(d: int, k: int, copies: np.ndarray) -> None:
             norm = math.sqrt(resid @ resid)
             if norm > 1e-6:
                 copy = copies[:, src].reshape(d**j, d, d, -1, q).swapaxes(1, 2).reshape(dim, q)
-                combo = np.tensordot(copies[:, :accepted], coef + again, axes=([1], [0]))
+                combo = np.tensordot(copies[:, :accepted], coef + again, ([1], [0]))
                 copies[:, accepted] = (copy - combo) / norm
                 first[accepted] = copies[:, accepted, 0]
                 accepted += 1
@@ -501,7 +500,7 @@ def spectrum_tail_bound(r: float, n: int, j: float) -> float:
 
 def sample_spin_outcomes(r: float, n: int, size: int, seed: int = 0) -> np.ndarray:
     """Draw total-spin outcomes j from the exact distribution."""
-    size = _count(size, 0, "size")
+    size = _checked_dim(_count(size, 0, "size"), per=2, name="outcomes (size)")
     dist = spectrum_estimation_distribution(r, n)
     js = np.array(sorted(dist))
     ps = _normalized(np.array([dist[j] for j in js]))

@@ -307,12 +307,13 @@ def bcy_inequality_check(rho: DensityMatrix, measurement: np.ndarray, k: int,
         raise ValueError("state must be bipartite")
     k, samples = _count(k, 1, "k"), _count(samples, 1, "samples")
     d_a, d_b = rho.dims
+    samples = _checked_dim(samples, per=2 * d_a * d_b + 2, name="samples")  # a row, its conjugate, a bias
     m = _operator_on(measurement, rho.dim)
     rhs = math.sqrt(2 * math.log(2) * math.log2(d_a) / k)
     rng = np.random.default_rng(seed)
     # one product vector a x b per row, a drawn before b for each sample
-    v = np.array([np.kron(random_pure_state(d_a, rng).amps, random_pure_state(d_b, rng).amps)
-                  for _ in range(samples)])
+    v = np.fromiter((np.kron(random_pure_state(d_a, rng).amps, random_pure_state(d_b, rng).amps)
+                     for _ in range(samples)), dtype=(complex, (d_a * d_b,)), count=samples)
     # |tr M (rho - |v><v|)| = |tr(M rho) - <v|M|v>| for every sample at once
     biases = np.abs(np.trace(m @ rho.mat).real - np.einsum("si,ij,sj->s", v.conj(), m, v).real)
     best = float(np.min(biases))
@@ -375,6 +376,7 @@ def h_sep_sampled(m: np.ndarray, dims: tuple[int, int],
     m = _finite(_as_matrix(m))
     d_a, d_b = _two_dims(m, dims)
     m = m.reshape(d_a, d_b, d_a, d_b)
+    _checked_dim(starts, per=32 + 4 * (d_a * d_a + d_b * d_b), name="starts")  # its states, operators, eighs
 
     def ascend(spec: str, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Top eigenvectors and eigenvalues of the Hermitian parts of M conditioned on

@@ -232,6 +232,7 @@ def naimark_dilate(povm: Povm) -> NaimarkDilation:
     """
     d, m = povm.dim, len(povm)
     _checked_dim(d * m)
+    _checked_dim(m + 1, per=(d * m) ** 2, name="operators, the unitary and one projector per outcome,")
     v = np.zeros((d * m, d), dtype=complex)
     for i, q in enumerate(povm.elements):
         v[i::m, :] = _psd_sqrt(q)  # rows of block i (ancilla value i) read sqrt(Q_i)

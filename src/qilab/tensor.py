@@ -11,7 +11,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-#: Largest operator (rows) the library materializes.
+#: Largest operator (rows) the library materializes; its SIZE_CAP**2 entries bound every count-sized array.
 SIZE_CAP = 4096
 
 #: The one slack of every input check: Hermiticity, PSD, traces, sums, probabilities.
@@ -53,25 +53,24 @@ def _count(x, least: int, name: str) -> int:
     return n
 
 
-def _checked_dim(d: int, n: int = 1, *, state: bool = False, axes: int | None = None) -> int:
-    """d**n for counts d >= 1 and n >= 0 (read by ``_count``) within the caps.
-
-    The size cap is SIZE_CAP rows for an operator, or SIZE_CAP**2 amplitudes, the
-    entry count of the largest operator, for a state vector; a larger size is
-    refused before anything is built, and a huge n before d**n is formed.  The
-    axis cap is MAX_AXES for ``axes``, the most axes the caller lays the n factors
-    out on: n + 1 unless given, as np.indices((d,) * n) takes; only d = 1 gets
-    that far within the size cap.
+def _checked_dim(d: int, n: int = 1, *, state: bool = False, per: int | None = None, name: str = "") -> int:
+    """d**n for counts d >= 1 and n >= 0 (read by ``_count``) if what it sizes fits the library's
+    one budget of SIZE_CAP**2 entries, the entry count of the largest operator: an operator of
+    (d**n)**2 entries, with ``state`` a vector of d**n, or with ``per`` a stack of d**n >= 0 rows
+    of ``per`` entries that a refusal calls ``name``.  A larger size is refused before anything
+    is built, and a long n before d**n >= 2**n is formed.  The n + 1 axes of np.indices((d,) * n)
+    must also fit numpy's MAX_AXES; only d = 1 gets that far within the budget.
     """
-    d, n = _count(d, 1, "dimension"), _count(n, 0, "n")
-    cap = SIZE_CAP**2 if state else SIZE_CAP
-    if (d >= 2 and n > cap.bit_length()) or d**n > cap:
+    d, n = _count(d, 1 if per is None else 0, "dimension"), _count(n, 0, "n")
+    cap = SIZE_CAP**2
+    if (d >= 2 and n > cap.bit_length()) or d**n * (1 if state else d**n if per is None else per) > cap:
         size = d if n == 1 else f"{d}^{n}"
+        if per is not None:
+            raise ValueError(f"{size} {name} of {per} entries each exceed cap {SIZE_CAP}^2 entries")
         what = f"state of {size} amplitudes" if state else f"operator size {size}"
         raise ValueError(f"{what} exceeds cap {SIZE_CAP}{'^2' if state else ''}")
-    axes = n + 1 if axes is None else axes
-    if axes > MAX_AXES:
-        raise ValueError(f"{n} factors of dimension {d} need {axes} array axes, "
+    if n + 1 > MAX_AXES:
+        raise ValueError(f"{n} factors of dimension {d} need {n + 1} array axes, "
                          f"more than numpy's {MAX_AXES}")
     return d**n
 
@@ -189,10 +188,11 @@ def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got {m.shape}")
-    adj = m.conj().T.copy()  # one transposed pass, read by both
+    h = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex))  # one transposed pass, read by both
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.max(np.abs(m - adj), initial=0.0)
-        h = (m + adj) / 2
+        defect = np.max(np.abs(m - h), initial=0.0)
+        h += m  # m^dag + m = m + m^dag bit for bit, halved in place
+        h /= 2
     if not defect <= INPUT_TOL:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {INPUT_TOL:.1e})")
     if not np.isfinite(h).all():
@@ -209,13 +209,14 @@ def _negative_eigenvalue(m: np.ndarray, tol: float) -> float | None:
     costs n^3/3 flops with no tridiagonal reduction.  So an accepted m pays one
     factorisation, and only a failed one runs eigvalsh, which applies the -tol
     rule and supplies the eigenvalue.  Zero padding of a stack, shifted to tol*I,
-    never fails.
+    never fails.  Cholesky reads the transpose, conj(m) + tol*I, which factors exactly
+    when m + tol*I does.
     """
     diag = np.arange(m.shape[-1])
     shifted = m.copy()
     shifted[..., diag, diag] += tol
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(shifted.swapaxes(-1, -2))  # a Fortran-order view: numpy copies nothing
     except np.linalg.LinAlgError:
         lo = float(np.min(np.linalg.eigvalsh(m)))
         return lo if lo < -tol else None
@@ -319,15 +320,12 @@ def permutation_operator(d: int, perm: Sequence[int]) -> np.ndarray:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    d, dim = _strict_int(d), _checked_dim(d, n, axes=2 * n)
-    t = np.eye(dim).reshape((d,) * (2 * n))
-    # Axis k of the "row" block corresponds to output slot k; pull input
-    # slot inv[k] into it.
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    axes = inv + list(range(n, 2 * n))
-    return t.transpose(axes).reshape(dim, dim).astype(complex)
+    d = _strict_int(d)
+    # column |i_1 ... i_n> has its one 1 in row sum_k i_k d^(n-1-perm[k])
+    rows = (d ** np.arange(n - 1, -1, -1))[perm] @ basis_digits(d, n)
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = 1
+    return out
 
 
 def basis_digits(d: int, n: int) -> np.ndarray:

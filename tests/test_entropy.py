@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -313,11 +314,13 @@ def test_compression_rejects_bad_rate(rate):
         q.compression_trial([0.9, 0.1], 10, rate, trials=5)
 
 
+# each class takes 20 + d + ceil(n log2(d) / 60) entries of the 4096^2 budget
 @pytest.mark.parametrize("p,n", [
-    ([0.1, 0.2, 0.3, 0.4], 60),  # C(63, 3) = 39711 classes
-    ([0.2, 0.3, 0.5], 255),  # C(257, 2) = 32896 classes
-    ([0.3, 0.7], 2**15),  # 2^15 + 1 classes
+    ([0.1, 0.2, 0.3, 0.4], 150),  # C(153, 3) = 585276 classes of 29 entries
+    ([0.2, 0.3, 0.5], 853),  # C(855, 2) = 365085 classes of 46 entries
+    ([0.3, 0.7], 2**15),  # 2^15 + 1 classes of 569 entries
     ([1 / 30] * 30, 30),  # C(59, 29) is not formed
+    pytest.param([0.3, 0.7], 10**400, id="p4-10^400"),  # n too large for a float
 ])
 def test_compression_refuses_too_many_type_classes_at_once(p, n):
     start = time.perf_counter()
@@ -327,17 +330,18 @@ def test_compression_refuses_too_many_type_classes_at_once(p, n):
 
 
 def test_compression_type_class_bound_is_inclusive(monkeypatch):
-    monkeypatch.setattr("qilab.entropy.TYPE_CLASS_CAP", 10)
-    assert q.compression_trial([0.3, 0.7], 9, 0.5, trials=5).trials == 5  # 10 classes
-    with pytest.raises(ValueError, match="type classes"):
-        q.compression_trial([0.3, 0.7], 10, 0.5, trials=5)
+    # binary classes at n <= 60 take 20 + 2 + 1 = 23 entries: 23 of them fill a budget of 23^2
+    monkeypatch.setattr(sys.modules["qilab.tensor"], "SIZE_CAP", 23)  # qilab.tensor is also a function
+    assert q.compression_trial([0.3, 0.7], 22, 0.5, trials=5).trials == 5  # 23 classes
+    with pytest.raises(ValueError, match="^24 type classes of 23 entries each exceed cap 23\\^2 entries$"):
+        q.compression_trial([0.3, 0.7], 23, 0.5, trials=5)
 
 
 def test_compression_accepts_any_alphabet_within_the_bound():
     # five symbols were refused outright; C(14, 4) = 1001 classes
     rep = q.compression_trial([0.1, 0.1, 0.2, 0.2, 0.4], 10, 2.5, trials=50, seed=3)
     assert rep.success_rate > 0.5
-    # the binary block lengths qi-cli accepts stay within the bound
+    # the binary block lengths qi-cli accepts stay within the bound (n <= 31067)
     assert q.compression_trial([0.9, 0.1], 20000, 0.5, trials=5).trials == 5
 
 

@@ -7,6 +7,7 @@ to decide.
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ REFUSALS = {
     "symmetric_projector(1, 70)": (lambda: q.symmetric_projector(1, 70),
                                    "^70 factors of dimension 1 need 71 array axes, more than numpy's"),
     "permutation_operator(1, range(70))": (lambda: q.permutation_operator(1, range(70)),
-                                           "^70 factors of dimension 1 need 140 array axes"),
+                                           "^70 factors of dimension 1 need 71 array axes"),
     "typical_subspace_projector(d=1, n=70)": (
         lambda: q.typical_subspace_projector(q.DensityMatrix(np.eye(1)), 70, 0.1),
         "^70 factors of dimension 1 need 71 array axes"),
@@ -295,6 +296,29 @@ def test_refused(name):
     call, message = REFUSALS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# counts that size an array, checked against the one budget of 4096^2 entries before anything
+# is drawn or built: (call, the count's name in the refusal)
+OVERSIZED_COUNTS = {
+    "chsh_optimize(starts)": (lambda: q.chsh_optimize(starts=10**12), "starts"),
+    "h_sep_sampled(starts)": (lambda: q.h_sep_sampled(np.eye(4), (2, 2), starts=10**12), "starts"),
+    "bcy_inequality_check(samples)": (
+        lambda: q.bcy_inequality_check(q.noisy_epr(0.5), np.eye(4) / 2, 2, samples=10**12), "samples"),
+    "sample_spin_outcomes(size)": (lambda: q.sample_spin_outcomes(0.2, 4, 10**12), r"outcomes \(size\)"),
+    # within the operator cap, but the unitary and 64 projectors take 65 x 4096^2 entries
+    "naimark_dilate(64 outcomes on C^64)": (lambda: q.naimark_dilate(q.Povm([np.eye(64) / 64] * 64)),
+                                            "operators, the unitary and one projector per outcome,"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_COUNTS))
+def test_count_sized_arrays_are_refused_at_once(name):
+    call, counted = OVERSIZED_COUNTS[name]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^\d+ {counted} of \d+ entries each exceed cap 4096\^2 entries$"):
+        call()
+    assert time.perf_counter() - start < 0.5
 
 
 # operators at the float limit: the Hermiticity defect overflows, or the Hermitian part does

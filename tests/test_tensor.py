@@ -230,6 +230,39 @@ def test_permutation_operator_action_and_composition():
             assert np.allclose(lhs, permutation_operator(d, comp))
 
 
+def permutation_operator_by_transpose(d, perm):
+    """Reference: the identity on (C^d)^{x n} as 2n axes, its row axes permuted."""
+    n = len(perm)
+    inv = [0] * n  # row axis k, output slot k, takes input slot inv[k]
+    for i, p in enumerate(perm):
+        inv[p] = i
+    t = np.eye(d**n).reshape((d,) * (2 * n)).transpose(inv + list(range(n, 2 * n)))
+    return t.reshape(d**n, d**n).astype(complex)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_permutation_operator_matches_the_transpose_reference(d):
+    rng = np.random.default_rng(d)
+    for n in range(7):  # 4^6 = 4096 is the cap
+        for _ in range(3):
+            perm = list(rng.permutation(n))
+            want = permutation_operator_by_transpose(d, perm)
+            got = permutation_operator(d, perm)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_permutation_operator_at_the_cap_holds_one_operator():
+    perm = list(np.random.default_rng(12).permutation(12))
+    tracemalloc.start()
+    try:
+        got = permutation_operator(2, perm)  # 4096 x 4096 complex: 256 MiB
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 260 * 2**20
+    assert got.tobytes() == permutation_operator_by_transpose(2, perm).tobytes()
+
+
 def test_swap_operator_and_size_cap():
     f = swap_operator(3)
     a = RNG.normal(size=3)
@@ -320,21 +353,31 @@ def test_checked_power_boundaries():
     with pytest.raises(ValueError, match="exceeds cap 4096"):
         _checked_dim(10**6, 10**6)
     assert time.perf_counter() - start < 1.0
-    # d = 1 keeps d^n = 1 for every n; the axes of the caller's arrays bound n instead
+    # d = 1 keeps d^n = 1 for every n; the n + 1 axes of np.indices bound n instead
     assert _checked_dim(1, MAX_AXES - 1) == 1
     assert _checked_dim(1, MAX_AXES - 1, state=True) == 1
-    assert _checked_dim(1, MAX_AXES // 2, axes=MAX_AXES) == 1
-    for n, axes in [(MAX_AXES, None), (10**18, None), (MAX_AXES // 2 + 1, MAX_AXES + 2)]:
-        with pytest.raises(ValueError, match=f"need {axes or n + 1} array axes, more than numpy's {MAX_AXES}$"):
-            _checked_dim(1, n, axes=axes)
+    for n in (MAX_AXES, 10**18):
+        with pytest.raises(ValueError, match=f"need {n + 1} array axes, more than numpy's {MAX_AXES}$"):
+            _checked_dim(1, n)
     with pytest.raises(ValueError, match="array axes"):
         _checked_dim(1, 10**18, state=True)
+
+
+def test_checked_stack_counts_entries_against_the_same_budget():
+    assert _checked_dim(SIZE_CAP, per=SIZE_CAP, name="rows") == SIZE_CAP  # the budget itself is allowed
+    assert _checked_dim(0, per=10**9, name="rows") == 0  # an empty stack
+    with pytest.raises(ValueError, match=r"^4097 rows of 4096 entries each exceed cap 4096\^2 entries$"):
+        _checked_dim(SIZE_CAP + 1, per=SIZE_CAP, name="rows")
+    with pytest.raises(ValueError, match=r"^2\^26 or more rows of 1 entries each exceed cap 4096\^2 entries$"):
+        _checked_dim(2, 26, per=1, name="or more rows")  # a power is bounded before it is formed
+    with pytest.raises(ValueError, match="^dimension must be an integer >= 0, got -1$"):
+        _checked_dim(-1, per=1, name="rows")
 
 
 def test_d1_calls_within_the_axis_cap_still_return():
     n = MAX_AXES - 1  # np.indices((1,) * n) takes n + 1 axes
     assert np.array_equal(q.symmetric_projector(1, n), [[1]])
-    assert np.array_equal(q.permutation_operator(1, range(MAX_AXES // 2)), [[1]])
+    assert np.array_equal(q.permutation_operator(1, range(MAX_AXES - 1)), [[1]])
     assert np.array_equal(q.typical_subspace_projector(q.DensityMatrix(np.eye(1)), n, 0.1), [[1]])
     rho = q.DensityMatrix(np.eye(2) / 2, (2, 1))
     rep = q.k_extendibility(rho, n)
